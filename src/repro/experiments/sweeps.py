@@ -288,39 +288,3 @@ def surface_points(
                 )
             )
     return points
-
-
-def busyness_surface(
-    architecture: str,
-    t_jobs: Sequence[float],
-    t_tasks: Sequence[float],
-    cluster: str = "B",
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    conflict_mode: ConflictMode = ConflictMode.FINE,
-    commit_mode: CommitMode = CommitMode.INCREMENTAL,
-    jobs: int = 1,
-    **config_kwargs,
-) -> list[dict]:
-    """Figure 10/11's surface: busyness over t_job x t_task (service).
-
-    Red shading in the paper marks configurations where part of the
-    workload remained unscheduled; rows carry ``unscheduled_fraction``
-    for the same purpose.
-    """
-    return run_sweep(
-        surface_points(
-            architecture,
-            t_jobs,
-            t_tasks,
-            cluster=cluster,
-            horizon=horizon,
-            seed=seed,
-            scale=scale,
-            conflict_mode=conflict_mode,
-            commit_mode=commit_mode,
-            **config_kwargs,
-        ),
-        jobs=jobs,
-    )

@@ -19,6 +19,7 @@ holds as a checked invariant (:meth:`FrontDoor.check_accounting`).
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 from repro.federation.cells import FederatedCell
@@ -153,9 +154,13 @@ class FrontDoor:
         index = cell.index
         self.failures[index] += 1
         self.route_timeouts += 1
+        # 2.0 ** 1024 raises OverflowError, so the exponent stops at 1023,
+        # the largest finite power of two. Every backoff below that point
+        # keeps its value; past it the backoff stays at base * 2**1023,
+        # which is the cap for any base >= cap * 2**-1023.
+        exponent = min(self.failures[index] - 1, sys.float_info.max_exp - 1)
         backoff = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * 2.0 ** (self.failures[index] - 1),
+            self.config.backoff_cap, self.config.backoff_base * 2.0 ** exponent
         )
         self.suspended_until[index] = self.sim.now + backoff
         rec = _obs.RECORDER

@@ -18,11 +18,12 @@ parallel executions produce byte-identical result tables and — via
 worker-side trace capture and span-renumbered replay — byte-identical
 JSONL traces.
 
-:mod:`repro.perf.bench` is the perf-regression harness behind
-``omega-sim bench``: curated micro/macro benchmarks (snapshot resync,
-placement packing, event-loop throughput, a reduced Figure-5 sweep
-serial vs parallel) written to ``BENCH_*.json`` and gated against a
-committed baseline. See ``docs/PERFORMANCE.md``.
+:mod:`repro.perf.bench` is the floor gate behind ``omega-sim bench``:
+a registry of ten benchmarks (kernel speedups over retained references,
+no-op hook overheads, a paper-scale sweep and a serial-vs-parallel
+sweep; the list is :data:`repro.perf.bench.BENCHMARKS`) written to
+``BENCH_*.json`` and gated against their floors and a committed
+baseline. See ``docs/PERFORMANCE.md``.
 """
 
 from repro.perf.parallel import parallel_map, point_seed, resolve_jobs

@@ -1,99 +1,41 @@
-"""Curated performance benchmarks and the regression gate behind
+"""Curated performance benchmarks and the floor gate behind
 ``omega-sim bench``.
 
-Eight benchmarks cover the hot paths this repository optimises:
+``omega-sim bench`` guards *ratios*: kernel speedups over retained
+reference implementations, and the throughput an off-by-default hook
+keeps against a hook-free baseline. Both sides of every ratio run in
+the same process on the same inputs, so the floors hold on any machine.
+The end-to-end host speed of the simulator is measured separately, by
+the repository benchmark in ``perfbench/``.
 
-``snapshot_resync``
-    Incremental :meth:`repro.core.cellstate.CellSnapshot.resync` against
-    taking a fresh full-copy snapshot, under an identical mutation
-    schedule. The delta path must win by at least
-    :data:`RESYNC_SPEEDUP_FLOOR`.
-``placement_pack``
-    :func:`repro.core.placement.randomized_first_fit` throughput over a
-    realistic half-full cell, against a retained copy of the
-    pre-vectorization kernel (full candidate shuffle + scalar pack).
-    The sampled kernel must win by :data:`PLACEMENT_SPEEDUP_FLOOR`
-    (:data:`PLACEMENT_SPEEDUP_FLOOR_SMOKE` at smoke sizes — the legacy
-    kernel's shuffle cost shrinks with the cell).
-``commit_batch``
-    Large-transaction :func:`repro.core.transaction.commit` (batched
-    validation + ``CellState.claim_batch`` scatter apply) against the
-    retained scalar :func:`~repro.core.transaction.commit_reference`,
-    on identical states and claim schedules; the outcomes must be
-    byte-identical and the batched path must win by
-    :data:`COMMIT_BATCH_SPEEDUP_FLOOR`.
-``paper_scale``
-    An honest paper-scale proof: a Figure-5-style service-decision-time
-    sweep on a 10,000-machine cluster-B cell over a multi-day horizon,
-    reporting wall time, simulated events/second, and the figure's
-    result rows. Full runs must actually be at paper scale
-    (:data:`PAPER_SCALE_MACHINES` machines,
-    :data:`PAPER_SCALE_MIN_DAYS` simulated days); smoke runs record a
-    scaled-down version without enforcing the shape.
-``event_loop``
-    Raw :class:`repro.sim.Simulator` dispatch throughput
-    (events/second).
-``tracing_overhead``
-    The event-loop benchmark with an instrumented tick: uninstrumented
-    vs no-op recorder vs active recorder vs active recorder plus the
-    :class:`~repro.obs.timeline.TimelineSampler`. The no-op recorder
-    (the default in every untraced run) must retain at least
-    :data:`NOOP_THROUGHPUT_FLOOR` of uninstrumented throughput.
-``sanitizer_overhead``
-    ``CellState.claim``/``release`` throughput with the omega-san hook
-    sites compared against a hook-free replica of the same arithmetic,
-    and against a fully active sanitizer. The off mode (the ``ACTIVE is
-    None`` guard every unsanitized run pays) must retain at least
-    :data:`SANITIZER_OFF_FLOOR` of hook-free throughput — enforced even
-    in smoke runs, since the guard's cost is size-independent.
-``predictor_overhead``
-    The Omega attempt hot path (snapshot placement + commit) with the
-    conflict-predictor hook sites compared against a hook-free replica
-    of the same arithmetic, and against a fully active
-    :class:`~repro.faults.predictor.ConflictPredictor` (hotness reads,
-    steering, conflict/commit observations). The off mode (the
-    ``predictor is None`` guards every predictor-off run pays) must
-    retain at least :data:`PREDICTOR_OFF_FLOOR` of hook-free throughput
-    — enforced even in smoke runs, since the guards' cost is
-    size-independent.
-``federation_overhead``
-    A 1-cell/zero-staleness/zero-fault federated run against the plain
-    single-cell simulation of the identical configuration. The two runs
-    process the same event schedule (the degenerate-baseline identity),
-    so the ratio isolates the federation plumbing's cost: the shared
-    event loop, the front door on every submission, and per-cell
-    finalization. The federated run must retain at least
-    :data:`FEDERATION_OVERHEAD_FLOOR` of plain throughput — enforced
-    even in smoke runs, since the per-event overhead is
-    size-independent.
-``sweep_serial_parallel``
-    A reduced Figure 5c sweep run serially and with ``--jobs 4``
-    through :mod:`repro.perf.parallel`. The rows must be byte-identical
-    (JSON-encoded, so NaN == NaN); the speedup expectation
-    (:data:`PARALLEL_SPEEDUP_FLOOR`) is only enforced on machines with
-    at least four cores — a single-core container cannot demonstrate it,
-    and the result JSON records the machine so readers can tell.
-
-Results serialize to JSON (see :func:`run_benchmarks`), and
-:func:`gate` compares a fresh run against a committed baseline with a
-relative tolerance, skipping wall-clock comparisons when the machine
-shape changed.
+Every benchmark is one entry of the :data:`BENCHMARKS` registry, which
+gives its ``bench_*`` function, full and smoke sizes, throughput
+metrics (for :func:`gate` and ``--compare``), report line and
+:class:`Expectation` rows. :func:`run_benchmarks`,
+:func:`evaluate_expectations`, :func:`gate` and :func:`render_report`
+all read that table. Timed comparisons go through one helper,
+:func:`paired`.
 
 Wall-clock reads here are intentional (this module *measures* wall
 time) and allowlisted for omega-lint DET002 in ``pyproject.toml``.
+
+The benchmarks, in registry order:
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import sys
+import textwrap
 import time
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.cellstate import CellState
+from repro.core.cellstate import EPSILON, CellState, OvercommitError
 from repro.core.placement import randomized_first_fit
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -175,15 +117,54 @@ def machine_info() -> dict:
     }
 
 
-def _best_of(repeats: int, run: Callable[[], float]) -> float:
-    """Best (minimum) wall-seconds over ``repeats`` runs — the standard
-    noise-rejection discipline for microbenchmarks."""
-    return min(run() for _ in range(max(1, repeats)))
+def paired(
+    modes: Sequence[str], run: Callable[[str], float], repeats: int
+) -> tuple[dict[str, float], dict[str, list[float]]]:
+    """Time ``run(mode)`` (which returns wall seconds) for every mode.
+
+    One untimed warm-up run per mode absorbs first-touch allocation and
+    code caches. Then ``repeats`` rounds each run every mode once, in
+    order. Interleaving the modes round-robin, rather than running all
+    repeats of one mode back-to-back, makes CPU-frequency and load drift
+    hit every mode alike; a few percent of block-ordering bias would
+    otherwise swamp a guard cost of a few percent.
+
+    Returns ``(best, ratios)``: the best (minimum) seconds per mode, and
+    for every mode after the first, the first mode's seconds over this
+    mode's in each round (> 1 means this mode was faster). Speedups are
+    best over best. Overhead ratios near 1 are the *best paired round*,
+    ``max(ratios[mode])``: scheduling noise can only make a mode look
+    slower than it is, so the round whose two adjacent runs saw the most
+    equal conditions bounds the intrinsic cost most fairly.
+    """
+    for mode in modes:
+        run(mode)
+    best = dict.fromkeys(modes, float("inf"))
+    ratios: dict[str, list[float]] = {mode: [] for mode in modes[1:]}
+    for _ in range(max(1, repeats)):
+        seconds = {mode: run(mode) for mode in modes}
+        for mode in modes:
+            best[mode] = min(best[mode], seconds[mode])
+        for mode in modes[1:]:
+            ratios[mode].append(seconds[modes[0]] / seconds[mode])
+    return best, ratios
 
 
-# ----------------------------------------------------------------------
-# snapshot_resync
-# ----------------------------------------------------------------------
+def _per_s(count: float, seconds: float) -> float:
+    return count / seconds if seconds > 0 else float("inf")
+
+
+def _mode_rates(best: dict[str, float], count: float, unit: str) -> dict:
+    """``{mode}_s`` and ``{mode}_{unit}_per_s`` for every timed mode."""
+    return {
+        **{f"{mode}_s": seconds for mode, seconds in best.items()},
+        **{
+            f"{mode}_{unit}_per_s": _per_s(count, seconds)
+            for mode, seconds in best.items()
+        },
+    }
+
+
 def _bench_cell(num_machines: int):
     from repro.cluster import Cell
 
@@ -192,67 +173,56 @@ def _bench_cell(num_machines: int):
     )
 
 
+# ----------------------------------------------------------------------
+# snapshot_resync
+# ----------------------------------------------------------------------
 def bench_snapshot_resync(
-    num_machines: int = 10_000,
-    iterations: int = 400,
-    writes_per_iteration: int = 8,
-    repeats: int = 3,
+    num_machines: int, iterations: int, writes_per_iteration: int, repeats: int
 ) -> dict:
-    """Time full-copy snapshots vs incremental resync under the same
-    mutation schedule.
+    """Full-copy snapshots vs incremental ``CellSnapshot.resync`` under
+    the same mutation schedule.
 
     Each iteration claims resources on a few random machines (the master
     moves on, as when other schedulers commit) and then refreshes the
     scheduler's private view — by taking a fresh snapshot in the
-    full-copy phase, by :meth:`CellSnapshot.resync` in the delta phase.
+    ``full_copy`` mode, by :meth:`CellSnapshot.resync` in the ``resync``
+    mode. Only the refresh is timed.
     """
-    streams = RandomStreams(0)
+    rng = RandomStreams(0).stream("bench.resync.machines")
+    schedule = [
+        [int(m) for m in rng.integers(0, num_machines, writes_per_iteration)]
+        for _ in range(iterations)
+    ]
 
-    def mutation_schedule() -> list[list[int]]:
-        rng = streams.stream("bench.resync.machines")
-        return [
-            [int(m) for m in rng.integers(0, num_machines, writes_per_iteration)]
-            for _ in range(iterations)
-        ]
-
-    def run_full() -> float:
-        state = CellState(_bench_cell(num_machines))
-        total = 0.0
-        for machines in mutation_schedule():
-            for machine in machines:
-                state.claim(machine, 0.001, 0.001)
-            start = time.perf_counter()
-            view = state.snapshot(0.0)
-            total += time.perf_counter() - start
-        assert view.version == state.version
-        return total
-
-    def run_resync() -> float:
+    def run(mode: str) -> float:
         state = CellState(_bench_cell(num_machines))
         view = state.snapshot(0.0)
         total = 0.0
-        for machines in mutation_schedule():
+        for machines in schedule:
             for machine in machines:
                 state.claim(machine, 0.001, 0.001)
             start = time.perf_counter()
-            view.resync(state)
+            if mode == "full_copy":
+                view = state.snapshot(0.0)
+            else:
+                view.resync(state)
             total += time.perf_counter() - start
-        # The delta-synced view must equal a fresh snapshot exactly.
+        # Either way the view must equal a fresh snapshot exactly.
         fresh = state.snapshot(0.0)
+        assert view.version == state.version
         assert np.array_equal(view.free_cpu, fresh.free_cpu)
         assert np.array_equal(view.free_mem, fresh.free_mem)
         assert np.array_equal(view.seq, fresh.seq)
         return total
 
-    full_s = _best_of(repeats, run_full)
-    resync_s = _best_of(repeats, run_resync)
+    best, _ = paired(("full_copy", "resync"), run, repeats)
     return {
         "num_machines": num_machines,
         "iterations": iterations,
         "writes_per_iteration": writes_per_iteration,
-        "full_copy_s": full_s,
-        "resync_s": resync_s,
-        "speedup": full_s / resync_s if resync_s > 0 else float("inf"),
+        "full_copy_s": best["full_copy"],
+        "resync_s": best["resync"],
+        "speedup": _per_s(best["full_copy"], best["resync"]),
     }
 
 
@@ -260,42 +230,20 @@ def bench_snapshot_resync(
 # placement_pack
 # ----------------------------------------------------------------------
 def _legacy_randomized_first_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng):
-    """The pre-vectorization placement kernel, retained verbatim as the
-    speedup baseline: mask the whole cell, shuffle *every* feasible
-    machine, then walk the shuffled order with scalar numpy indexing."""
-    from repro.core.cellstate import EPSILON
-    from repro.core.transaction import Claim
+    """The pre-vectorization placement kernel, the speedup baseline: mask
+    the whole cell, shuffle *every* feasible machine, then walk the
+    shuffled order with the retained scalar pack."""
+    from repro.core.placement import _pack_reference
 
     candidates = np.flatnonzero(
         (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
     )
-    if candidates.size == 0:
-        return []
     rng.shuffle(candidates)
-    claims = []
-    remaining = num_tasks
-    for machine in candidates:
-        per_machine = remaining
-        if cpu > 0:
-            per_machine = min(per_machine, int((free_cpu[machine] + EPSILON) // cpu))
-        if mem > 0:
-            per_machine = min(per_machine, int((free_mem[machine] + EPSILON) // mem))
-        if per_machine <= 0:
-            continue
-        claims.append(
-            Claim(machine=int(machine), cpu=cpu, mem=mem, count=per_machine)
-        )
-        remaining -= per_machine
-        if remaining == 0:
-            break
-    return claims
+    return _pack_reference(candidates, free_cpu, free_mem, cpu, mem, num_tasks)
 
 
 def bench_placement_pack(
-    num_machines: int = 10_000,
-    placements: int = 300,
-    tasks_per_job: int = 50,
-    repeats: int = 3,
+    num_machines: int, placements: int, tasks_per_job: int, repeats: int
 ) -> dict:
     """Randomized-first-fit throughput over a half-full cell, current
     sampled kernel vs the retained pre-vectorization kernel.
@@ -307,8 +255,13 @@ def bench_placement_pack(
     fill_rng = streams.stream("bench.placement.fill")
     free_cpu = fill_rng.uniform(0.0, 8.0, num_machines)
     free_mem = fill_rng.uniform(0.0, 32.0, num_machines)
+    kernels = {
+        "legacy": _legacy_randomized_first_fit,
+        "sampled": randomized_first_fit,
+    }
 
-    def run(kernel) -> float:
+    def run(mode: str) -> float:
+        kernel = kernels[mode]
         rng = streams.fork("bench.placement").stream("pack")
         start = time.perf_counter()
         planned = 0
@@ -319,19 +272,16 @@ def bench_placement_pack(
         assert planned > 0
         return elapsed
 
-    wall_s = _best_of(repeats, lambda: run(randomized_first_fit))
-    legacy_s = _best_of(repeats, lambda: run(_legacy_randomized_first_fit))
+    best, _ = paired(tuple(kernels), run, repeats)
     return {
         "num_machines": num_machines,
         "placements": placements,
         "tasks_per_job": tasks_per_job,
-        "wall_s": wall_s,
-        "placements_per_s": placements / wall_s if wall_s > 0 else float("inf"),
-        "legacy_wall_s": legacy_s,
-        "legacy_placements_per_s": (
-            placements / legacy_s if legacy_s > 0 else float("inf")
-        ),
-        "speedup": legacy_s / wall_s if wall_s > 0 else float("inf"),
+        "wall_s": best["sampled"],
+        "placements_per_s": _per_s(placements, best["sampled"]),
+        "legacy_wall_s": best["legacy"],
+        "legacy_placements_per_s": _per_s(placements, best["legacy"]),
+        "speedup": _per_s(best["legacy"], best["sampled"]),
     }
 
 
@@ -339,31 +289,31 @@ def bench_placement_pack(
 # commit_batch
 # ----------------------------------------------------------------------
 def bench_commit_batch(
-    num_machines: int = 10_000,
-    transactions: int = 200,
-    claims_per_txn: int = 256,
-    hot_machines: int = 256,
-    repeats: int = 3,
+    num_machines: int,
+    transactions: int,
+    claims_per_txn: int,
+    hot_machines: int,
+    repeats: int,
 ) -> dict:
-    """Large-transaction commit throughput, batched vs scalar reference.
+    """Large-transaction commit throughput, batched vs scalar
+    reference, with identical outcomes required.
 
     Builds one deterministic schedule of ``transactions`` transactions
-    (``claims_per_txn`` distinct machines each), then replays it twice
-    against identically-seeded cells: once through :func:`commit`
-    (batched validation + ``claim_batch`` scatter apply) and once
-    through the retained :func:`commit_reference` scalar walk. Every
-    fifth transaction targets a small hot-machine subset with larger
-    claims, so the schedule exercises the partial-accept and
-    capacity-reject paths, not just clean accepts. The private view
-    resyncs before each commit (the real scheduler discipline) but only
-    the commit calls are timed — resync has its own benchmark — and the
-    two replays must produce identical :class:`CommitResult` sequences
-    and bit-identical final cell states.
+    (``claims_per_txn`` distinct machines each), then replays it against
+    identically-seeded cells: through :func:`commit` (batched validation
+    + ``claim_batch`` scatter apply) and through the retained
+    :func:`commit_reference` scalar walk. Every fifth transaction targets
+    a small hot-machine subset with larger claims, so the schedule
+    exercises the partial-accept and capacity-reject paths, not just
+    clean accepts. The private view resyncs before each commit (the real
+    scheduler discipline) but only the commit calls are timed — resync
+    has its own benchmark. Every batched replay must produce the
+    reference's :class:`CommitResult` sequence and a bit-identical final
+    cell state (``identical_outcomes``).
     """
     from repro.core.transaction import Claim, commit, commit_reference
 
-    streams = RandomStreams(3)
-    plan_rng = streams.stream("bench.commit.plan")
+    plan_rng = RandomStreams(3).stream("bench.commit.plan")
     plans = []
     for index in range(transactions):
         if index % 5 == 4:
@@ -377,8 +327,11 @@ def bench_commit_batch(
         plans.append(
             [Claim(int(m), cpu, mem, count) for m in machines.tolist()]
         )
+    commit_fns = {"reference": commit_reference, "batch": commit}
+    outcomes: dict[str, list] = {mode: [] for mode in commit_fns}
 
-    def run(commit_fn):
+    def run(mode: str) -> float:
+        commit_fn = commit_fns[mode]
         state = CellState(_bench_cell(num_machines))
         view = state.snapshot(0.0)
         results = []
@@ -388,39 +341,31 @@ def bench_commit_batch(
             start = time.perf_counter()
             results.append(commit_fn(state, claims, view))
             elapsed += time.perf_counter() - start
-        return elapsed, results, state
+        outcomes[mode].append((results, state))
+        return elapsed
 
-    batch_s = float("inf")
-    reference_s = float("inf")
-    identical = True
-    for _ in range(max(1, repeats)):
-        elapsed, results, state = run(commit)
-        ref_elapsed, ref_results, ref_state = run(commit_reference)
-        batch_s = min(batch_s, elapsed)
-        reference_s = min(reference_s, ref_elapsed)
-        identical = identical and (
-            results == ref_results
-            and np.array_equal(state.free_cpu, ref_state.free_cpu)
-            and np.array_equal(state.free_mem, ref_state.free_mem)
-            and np.array_equal(state.seq, ref_state.seq)
-            and state.version == ref_state.version
-            and state.used_cpu == ref_state.used_cpu  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
-            and state.used_mem == ref_state.used_mem  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
-        )
+    best, _ = paired(tuple(commit_fns), run, repeats)
+    ref_results, ref_state = outcomes["reference"][0]
+    identical = all(
+        results == ref_results
+        and np.array_equal(state.free_cpu, ref_state.free_cpu)
+        and np.array_equal(state.free_mem, ref_state.free_mem)
+        and np.array_equal(state.seq, ref_state.seq)
+        and state.version == ref_state.version
+        and state.used_cpu == ref_state.used_cpu  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
+        and state.used_mem == ref_state.used_mem  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
+        for results, state in outcomes["batch"]
+    )
     total_claims = sum(len(plan) for plan in plans)
     return {
         "num_machines": num_machines,
         "transactions": transactions,
         "claims_per_txn": claims_per_txn,
-        "batch_s": batch_s,
-        "reference_s": reference_s,
-        "batch_claims_per_s": (
-            total_claims / batch_s if batch_s > 0 else float("inf")
-        ),
-        "reference_claims_per_s": (
-            total_claims / reference_s if reference_s > 0 else float("inf")
-        ),
-        "speedup": reference_s / batch_s if batch_s > 0 else float("inf"),
+        "batch_s": best["batch"],
+        "reference_s": best["reference"],
+        "batch_claims_per_s": _per_s(total_claims, best["batch"]),
+        "reference_claims_per_s": _per_s(total_claims, best["reference"]),
+        "speedup": _per_s(best["reference"], best["batch"]),
         "identical_outcomes": bool(identical),
     }
 
@@ -429,13 +374,14 @@ def bench_commit_batch(
 # paper_scale
 # ----------------------------------------------------------------------
 def bench_paper_scale(
-    horizon_days: float = 3.0,
-    t_jobs=(0.1, 1.0, 10.0),
+    horizon_days: float,
+    t_jobs: Sequence[float],
+    machines: int,
     cluster: str = "B",
-    machines: int = PAPER_SCALE_MACHINES,
     seed: int = 0,
 ) -> dict:
-    """An honest Figure-5-style sweep at paper scale.
+    """An honest Figure-5-style Omega sweep at paper scale (full runs:
+    10,000 machines, a multi-day horizon).
 
     Scales the named cluster preset up to ``machines`` machines and runs
     the service-decision-time sweep over a ``horizon_days`` horizon,
@@ -443,23 +389,20 @@ def bench_paper_scale(
     figure's result rows. No shortcuts: every row comes from a complete
     discrete-event run at the stated size.
     """
+    from repro.experiments.common import run_lightweight
     from repro.experiments.sweeps import result_row, service_decision_points
     from repro.workload.clusters import preset_by_name
 
     day_s = 86_400.0
     base = preset_by_name(cluster)
-    scale = machines / base.num_machines
     points = service_decision_points(
         "omega",
         t_jobs=t_jobs,
         clusters=(cluster,),
         horizon=horizon_days * day_s,
         seed=seed,
-        scale=scale,
+        scale=machines / base.num_machines,
     )
-    from repro.experiments.common import run_lightweight
-
-    actual_machines = points[0][0].preset.num_machines
     rows = []
     total_events = 0
     start = time.perf_counter()
@@ -475,59 +418,27 @@ def bench_paper_scale(
     wall_s = time.perf_counter() - start
     return {
         "cluster": cluster,
-        "machines": actual_machines,
+        "machines": points[0][0].preset.num_machines,
         "horizon_days": horizon_days,
         "t_jobs": list(t_jobs),
         "points": len(points),
         "wall_s": wall_s,
         "events_processed": total_events,
-        "events_per_s": total_events / wall_s if wall_s > 0 else float("inf"),
+        "events_per_s": _per_s(total_events, wall_s),
         "rows": rows,
     }
 
 
 # ----------------------------------------------------------------------
-# event_loop
+# tracing_overhead (and event_loop, its plain mode)
 # ----------------------------------------------------------------------
-def bench_event_loop(events: int = 200_000, repeats: int = 3) -> dict:
-    """Raw event-dispatch throughput of the discrete-event engine."""
-
-    def run() -> float:
-        sim = Simulator()
-        remaining = [events]
-
-        def tick() -> None:
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.after(1.0, tick)
-
-        sim.after(1.0, tick)
-        start = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        assert sim.events_processed == events
-        return elapsed
-
-    wall_s = _best_of(repeats, run)
-    return {
-        "events": events,
-        "wall_s": wall_s,
-        "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
-    }
-
-
-# ----------------------------------------------------------------------
-# tracing_overhead
-# ----------------------------------------------------------------------
-def bench_tracing_overhead(
-    events: int = 200_000, repeats: int = 3, timeline_every: float = 100.0
-) -> dict:
+def bench_tracing_overhead(events: int, repeats: int, timeline_every: float) -> dict:
     """Event-loop throughput under increasing instrumentation.
 
-    Four modes, same event count: ``plain`` (uninstrumented tick, the
-    ``event_loop`` benchmark's shape), ``noop`` (the tick checks
-    ``RECORDER.enabled`` exactly like real hot paths — the cost every
-    untraced run pays), ``active`` (an in-memory
+    Four modes, same event count: ``plain`` (uninstrumented tick: raw
+    engine dispatch, reported as the ``event_loop`` benchmark), ``noop``
+    (the tick checks ``RECORDER.enabled`` exactly like real hot paths —
+    the cost every untraced run pays), ``active`` (an in-memory
     :class:`~repro.obs.TraceRecorder`, one record per event) and
     ``timeline`` (active recorder plus a
     :class:`~repro.obs.timeline.TimelineSampler` ticking every
@@ -582,164 +493,156 @@ def bench_tracing_overhead(
         assert remaining[0] == 0
         return elapsed
 
-    timings = {mode: _best_of(repeats, lambda m=mode: run(m))
-               for mode in ("plain", "noop", "active", "timeline")}
-    rates = {
-        f"{mode}_events_per_s": events / wall_s if wall_s > 0 else float("inf")
-        for mode, wall_s in timings.items()
-    }
+    best, ratios = paired(("plain", "noop", "active", "timeline"), run, repeats)
     return {
         "events": events,
         "timeline_every_s": timeline_every,
-        **{f"{mode}_s": wall_s for mode, wall_s in timings.items()},
-        **rates,
-        "noop_throughput_ratio": (
-            rates["noop_events_per_s"] / rates["plain_events_per_s"]
-            if rates["plain_events_per_s"] > 0
-            else float("inf")
-        ),
+        **_mode_rates(best, events, "events"),
+        "noop_throughput_ratio": max(ratios["noop"]),
+    }
+
+
+def _event_loop_view(tracing: dict) -> dict:
+    """Raw event-dispatch throughput of the engine:
+    ``tracing_overhead``'s ``plain`` mode."""
+    return {
+        "events": tracing["events"],
+        "wall_s": tracing["plain_s"],
+        "events_per_s": tracing["plain_events_per_s"],
     }
 
 
 # ----------------------------------------------------------------------
 # sanitizer_overhead
 # ----------------------------------------------------------------------
-def bench_sanitizer_overhead(
-    num_machines: int = 2_000, operations: int = 200_000, repeats: int = 3
-) -> dict:
-    """Cost of the omega-san hook sites in ``claim``/``release``.
+# The sanitizer benchmark's baseline is *deliberately* a hook-free copy
+# of CellState.claim/release applied to a real CellState — the thing
+# TXN001 exists to forbid everywhere else — so each write carries a
+# suppression. The copies leave out only the ``_san.ACTIVE`` guards;
+# tests/perf/test_bench.py checks they leave the same state as the real
+# methods on the benchmark's schedule.
+def plain_claim(state, machine: int, cpu: float, mem: float, count: int = 1) -> None:
+    """:meth:`CellState.claim` without its sanitizer hook."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    total_cpu = cpu * count
+    total_mem = mem * count
+    if (
+        state.free_cpu[machine] + EPSILON < total_cpu
+        or state.free_mem[machine] + EPSILON < total_mem
+    ):
+        raise OvercommitError(
+            f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
+            f"machine {machine} (free: {state.free_cpu[machine]} cpu, "
+            f"{state.free_mem[machine]} mem)"
+        )
+    state.free_cpu[machine] -= total_cpu  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    state.free_mem[machine] -= total_mem  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    if state.free_cpu[machine] < 0.0:
+        state.free_cpu[machine] = 0.0  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    if state.free_mem[machine] < 0.0:
+        state.free_mem[machine] = 0.0  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    state._used_cpu += total_cpu
+    state._used_mem += total_mem
+    state.seq[machine] += 1  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    state._touch(machine)
+
+
+def plain_release(state, machine: int, cpu: float, mem: float, count: int = 1) -> None:
+    """:meth:`CellState.release` without its sanitizer hook."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    total_cpu = cpu * count
+    total_mem = mem * count
+    new_free_cpu = state.free_cpu[machine] + total_cpu
+    new_free_mem = state.free_mem[machine] + total_mem
+    if (
+        new_free_cpu > state.cell.cpu_capacity[machine] + EPSILON
+        or new_free_mem > state.cell.mem_capacity[machine] + EPSILON
+    ):
+        raise OvercommitError(
+            f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
+            f"{machine} exceeds its capacity"
+        )
+    old_free_cpu = float(state.free_cpu[machine])
+    old_free_mem = float(state.free_mem[machine])
+    state.free_cpu[machine] = min(  # omega-lint: disable=TXN001 -- hook-free baseline replica
+        new_free_cpu, state.cell.cpu_capacity[machine]
+    )
+    state.free_mem[machine] = min(  # omega-lint: disable=TXN001 -- hook-free baseline replica
+        new_free_mem, state.cell.mem_capacity[machine]
+    )
+    state._used_cpu -= float(state.free_cpu[machine]) - old_free_cpu
+    state._used_mem -= float(state.free_mem[machine]) - old_free_mem
+    if state._used_cpu < 0.0:
+        state._used_cpu = 0.0
+    if state._used_mem < 0.0:
+        state._used_mem = 0.0
+    state.seq[machine] += 1  # omega-lint: disable=TXN001 -- hook-free baseline replica
+    state._touch(machine)
+
+
+def sanitizer_schedule(num_machines: int, operations: int) -> list[int]:
+    """The machines the sanitizer benchmark claims on and releases, in
+    order."""
+    rng = RandomStreams(2).stream("bench.san.machines")
+    return [int(m) for m in rng.integers(0, num_machines, operations)]
+
+
+def bench_sanitizer_overhead(num_machines: int, operations: int, repeats: int) -> dict:
+    """Cost of the omega-san hook sites in ``claim``/``release``,
+    against hook-free copies of both.
 
     Three modes run the same claim-then-release schedule:
 
-    * ``plain`` — a hook-free replica of the exact CellState arithmetic
-      (what the mutation paths cost before the sanitizer existed);
+    * ``plain`` — :func:`plain_claim`/:func:`plain_release`, the
+      hook-free copies of the CellState arithmetic (what the mutation
+      paths cost before the sanitizer existed);
     * ``off`` — the real :class:`CellState` with the sanitizer
       uninstalled, paying only the ``ACTIVE is None`` guard;
     * ``on`` — the same schedule under an installed sanitizer inside a
       sanctioned scope (ownership, scope and shadow-replay checks live).
 
-    ``off_throughput_ratio`` (off/plain, best interleaved round) must
-    stay at least :data:`SANITIZER_OFF_FLOOR`; the guard's cost does not
-    depend on benchmark size, so the floor is enforced even in smoke
-    runs.
+    ``off_throughput_ratio`` is off/plain over the best paired round.
     """
     from repro.analysis import sanitizer as _san
-    from repro.core.cellstate import EPSILON, OvercommitError
 
-    streams = RandomStreams(2)
-    machines = [
-        int(m)
-        for m in streams.stream("bench.san.machines").integers(
-            0, num_machines, operations
-        )
-    ]
-
-    # The plain mode is *deliberately* a hook-free copy of the claim/
-    # release arithmetic applied to a real CellState — the thing TXN001
-    # exists to forbid everywhere else — so each write carries a
-    # suppression.
-    def plain_claim(state, machine: int, cpu: float, mem: float) -> None:
-        if (
-            state.free_cpu[machine] + EPSILON < cpu
-            or state.free_mem[machine] + EPSILON < mem
-        ):
-            raise OvercommitError(f"bench claim does not fit on {machine}")
-        state.free_cpu[machine] -= cpu  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        state.free_mem[machine] -= mem  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        if state.free_cpu[machine] < 0.0:
-            state.free_cpu[machine] = 0.0  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        if state.free_mem[machine] < 0.0:
-            state.free_mem[machine] = 0.0  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        state._used_cpu += cpu
-        state._used_mem += mem
-        state.seq[machine] += 1  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        state._touch(machine)
-
-    def plain_release(state, machine: int, cpu: float, mem: float) -> None:
-        new_free_cpu = state.free_cpu[machine] + cpu
-        new_free_mem = state.free_mem[machine] + mem
-        if (
-            new_free_cpu > state.cell.cpu_capacity[machine] + EPSILON
-            or new_free_mem > state.cell.mem_capacity[machine] + EPSILON
-        ):
-            raise OvercommitError(f"bench release exceeds capacity on {machine}")
-        old_free_cpu = float(state.free_cpu[machine])
-        old_free_mem = float(state.free_mem[machine])
-        state.free_cpu[machine] = min(  # omega-lint: disable=TXN001 -- hook-free baseline replica
-            new_free_cpu, state.cell.cpu_capacity[machine]
-        )
-        state.free_mem[machine] = min(  # omega-lint: disable=TXN001 -- hook-free baseline replica
-            new_free_mem, state.cell.mem_capacity[machine]
-        )
-        state._used_cpu -= float(state.free_cpu[machine]) - old_free_cpu
-        state._used_mem -= float(state.free_mem[machine]) - old_free_mem
-        state.seq[machine] += 1  # omega-lint: disable=TXN001 -- hook-free baseline replica
-        state._touch(machine)
+    machines = sanitizer_schedule(num_machines, operations)
 
     def run(mode: str) -> float:
         state = CellState(_bench_cell(num_machines))
+        claim, release = (
+            (plain_claim, plain_release)
+            if mode == "plain"
+            else (CellState.claim, CellState.release)
+        )
         previous = _san.ACTIVE
-        scope = None
         try:
             if mode == "on":
                 san = _san.install()
                 san.begin_run()
                 scope = san.scope("bench")
-                scope.__enter__()
             else:
                 _san.uninstall()
-            start = time.perf_counter()
-            if mode == "plain":
+                scope = contextlib.nullcontext()
+            with scope:
+                start = time.perf_counter()
                 for machine in machines:
-                    plain_claim(state, machine, 0.001, 0.001)
-                    plain_release(state, machine, 0.001, 0.001)
-            else:
-                for machine in machines:
-                    state.claim(machine, 0.001, 0.001)
-                    state.release(machine, 0.001, 0.001)
-            elapsed = time.perf_counter() - start
+                    claim(state, machine, 0.001, 0.001)
+                    release(state, machine, 0.001, 0.001)
+                elapsed = time.perf_counter() - start
         finally:
-            if scope is not None:
-                scope.__exit__(None, None, None)
             _san.ACTIVE = previous
         assert state.used_cpu < 1.0
         return elapsed
 
-    # Interleave the modes round-robin (rather than all repeats of one
-    # mode back-to-back) so CPU-frequency and load drift hits every mode
-    # equally — the off/plain ratio is the enforced number and a few
-    # percent of block-ordering bias would swamp the real guard cost.
-    modes = ("plain", "off", "on")
-    for mode in modes:
-        run(mode)  # warm-up: first-touch allocation and code caches
-    timings = {mode: float("inf") for mode in modes}
-    round_ratios = []
-    for _ in range(repeats):
-        round_times = {mode: run(mode) for mode in modes}
-        for mode in modes:
-            timings[mode] = min(timings[mode], round_times[mode])
-        round_ratios.append(round_times["plain"] / round_times["off"])
-    rates = {
-        f"{mode}_ops_per_s": (
-            2 * operations / wall_s if wall_s > 0 else float("inf")
-        )
-        for mode, wall_s in timings.items()
-    }
+    best, ratios = paired(("plain", "off", "on"), run, repeats)
     return {
         "num_machines": num_machines,
         "operations": operations,
-        **{f"{mode}_s": wall_s for mode, wall_s in timings.items()},
-        **rates,
-        # Best paired round, not min-of-runs: scheduling noise can only
-        # make the off mode look *slower* than it is, so the fairest
-        # bound on the intrinsic guard cost is the round where the two
-        # adjacent runs saw the most equal conditions.
-        "off_throughput_ratio": max(round_ratios),
-        "on_overhead_x": (
-            rates["plain_ops_per_s"] / rates["on_ops_per_s"]
-            if rates["on_ops_per_s"] > 0
-            else float("inf")
-        ),
+        **_mode_rates(best, 2 * operations, "ops"),
+        "off_throughput_ratio": max(ratios["off"]),
+        "on_overhead_x": _per_s(best["on"], best["plain"]),
     }
 
 
@@ -747,19 +650,16 @@ def bench_sanitizer_overhead(
 # predictor_overhead
 # ----------------------------------------------------------------------
 def bench_predictor_overhead(
-    num_machines: int = 2_000,
-    attempts: int = 5_000,
-    tasks_per_job: int = 10,
-    repeats: int = 3,
+    num_machines: int, attempts: int, tasks_per_job: int, repeats: int
 ) -> dict:
     """Cost of the conflict-predictor hook sites on the attempt path.
 
     Three modes run the same resync → place → commit schedule (the
     :meth:`~repro.core.scheduler.OmegaScheduler.attempt` hot path):
 
-    * ``plain`` — a hook-free replica: placement and :func:`commit`
-      called directly, no predictor branches anywhere (what an attempt
-      cost before the predictor existed);
+    * ``plain`` — placement and :func:`commit` called directly, no
+      predictor branches anywhere (what an attempt cost before the
+      predictor existed);
     * ``off`` — the real guard shape with ``predictor=None``: the
       hotness check before placement and the ``on_conflict``/
       ``observe_commit`` guards around commit, all short-circuiting
@@ -769,10 +669,7 @@ def bench_predictor_overhead(
       attempt pays hotness reads, steered placement and the
       conflict/commit observations.
 
-    ``off_throughput_ratio`` (off/plain, best interleaved round) must
-    stay at least :data:`PREDICTOR_OFF_FLOOR`; the guards' cost does
-    not depend on benchmark size, so the floor is enforced even in
-    smoke runs.
+    ``off_throughput_ratio`` is off/plain over the best paired round.
     """
     from repro.core.placement import placement_fn, steered_placement
     from repro.core.transaction import commit
@@ -836,39 +733,14 @@ def bench_predictor_overhead(
         assert state.used_cpu < 1.0
         return elapsed
 
-    # Interleave the modes round-robin (see bench_sanitizer_overhead):
-    # the off/plain ratio is the enforced number and block-ordering bias
-    # would swamp the real guard cost.
-    modes = ("plain", "off", "on")
-    for mode in modes:
-        run(mode)  # warm-up: first-touch allocation and code caches
-    timings = {mode: float("inf") for mode in modes}
-    round_ratios = []
-    for _ in range(max(1, repeats)):
-        round_times = {mode: run(mode) for mode in modes}
-        for mode in modes:
-            timings[mode] = min(timings[mode], round_times[mode])
-        round_ratios.append(round_times["plain"] / round_times["off"])
-    rates = {
-        f"{mode}_attempts_per_s": (
-            attempts / wall_s if wall_s > 0 else float("inf")
-        )
-        for mode, wall_s in timings.items()
-    }
+    best, ratios = paired(("plain", "off", "on"), run, repeats)
     return {
         "num_machines": num_machines,
         "attempts": attempts,
         "tasks_per_job": tasks_per_job,
-        **{f"{mode}_s": wall_s for mode, wall_s in timings.items()},
-        **rates,
-        # Best paired round, not min-of-runs — scheduling noise can only
-        # make the off mode look slower than it is.
-        "off_throughput_ratio": max(round_ratios),
-        "on_overhead_x": (
-            rates["plain_attempts_per_s"] / rates["on_attempts_per_s"]
-            if rates["on_attempts_per_s"] > 0
-            else float("inf")
-        ),
+        **_mode_rates(best, attempts, "attempts"),
+        "off_throughput_ratio": max(ratios["off"]),
+        "on_overhead_x": _per_s(best["on"], best["plain"]),
     }
 
 
@@ -876,13 +748,10 @@ def bench_predictor_overhead(
 # federation_overhead
 # ----------------------------------------------------------------------
 def bench_federation_overhead(
-    scale: float = 0.2,
-    horizon: float = 3600.0,
-    seed: int = 7,
-    cluster: str = "B",
-    repeats: int = 3,
+    scale: float, horizon: float, repeats: int, seed: int = 7, cluster: str = "B"
 ) -> dict:
-    """Cost of the federation plumbing on the degenerate baseline.
+    """Cost of the federation plumbing on the degenerate baseline (one
+    cell, zero staleness, zero faults).
 
     Two modes run the identical configuration end to end (build + run):
 
@@ -895,10 +764,8 @@ def bench_federation_overhead(
 
     The degenerate-baseline identity guarantees both modes process the
     same simulated events (asserted), so ``federated_throughput_ratio``
-    (federated/plain events-per-second, best interleaved round) isolates
-    the plumbing's overhead. It must stay at least
-    :data:`FEDERATION_OVERHEAD_FLOOR`, smoke runs included — the
-    per-event cost does not depend on benchmark size.
+    (federated/plain, best paired round) isolates the plumbing's
+    overhead.
     """
     from repro.experiments.common import LightweightSimulation
     from repro.experiments.federation import build_federation
@@ -911,52 +778,34 @@ def bench_federation_overhead(
         )[0]
         return config
 
-    def run(mode: str) -> tuple[float, int]:
+    events = {}
+
+    def run(mode: str) -> float:
         if mode == "plain":
             world = LightweightSimulation(cell_config())
-            start = time.perf_counter()
-            result = world.run()
         else:
-            federation = build_federation(
+            world = build_federation(
                 FederationConfig(cell_config=cell_config(), num_cells=1)
             )
-            start = time.perf_counter()
-            result = federation.run()
-        return time.perf_counter() - start, result.events_processed
+        start = time.perf_counter()
+        result = world.run()
+        elapsed = time.perf_counter() - start
+        events[mode] = result.events_processed
+        return elapsed
 
-    modes = ("plain", "federated")
-    for mode in modes:
-        run(mode)  # warm-up: first-touch allocation and code caches
-    timings = {mode: float("inf") for mode in modes}
-    events = {}
-    round_ratios = []
-    for _ in range(max(1, repeats)):
-        round_times = {}
-        for mode in modes:
-            round_times[mode], events[mode] = run(mode)
-            timings[mode] = min(timings[mode], round_times[mode])
-        round_ratios.append(round_times["plain"] / round_times["federated"])
+    best, ratios = paired(("plain", "federated"), run, repeats)
     # The degenerate identity is what makes the ratio meaningful: both
     # modes must have dispatched the same event schedule.
     assert events["plain"] == events["federated"], (
         f"degenerate federation processed {events['federated']} events "
         f"vs plain {events['plain']}"
     )
-    rates = {
-        f"{mode}_events_per_s": (
-            events[mode] / wall_s if wall_s > 0 else float("inf")
-        )
-        for mode, wall_s in timings.items()
-    }
     return {
         "scale": scale,
         "horizon_s": horizon,
         "events_processed": events["plain"],
-        **{f"{mode}_s": wall_s for mode, wall_s in timings.items()},
-        **rates,
-        # Best paired round, not min-of-runs — scheduling noise can only
-        # make the federated mode look slower than it is.
-        "federated_throughput_ratio": max(round_ratios),
+        **_mode_rates(best, events["plain"], "events"),
+        "federated_throughput_ratio": max(ratios["federated"]),
     }
 
 
@@ -964,16 +813,18 @@ def bench_federation_overhead(
 # sweep_serial_parallel
 # ----------------------------------------------------------------------
 def bench_sweep_serial_parallel(
-    jobs: int = 4,
-    horizon: float = 1800.0,
-    scale: float = 0.1,
-    t_jobs=(0.1, 1.0, 10.0, 100.0),
-    clusters=("A", "B"),
+    jobs: int,
+    horizon: float,
+    scale: float,
+    t_jobs: Sequence[float],
+    clusters: Sequence[str],
 ) -> dict:
-    """The reduced Figure 5c sweep, serial vs ``jobs`` workers.
+    """The reduced Figure 5c sweep, serial vs ``jobs`` workers, with
+    byte-identical rows required.
 
-    Beyond timing, this asserts the tentpole's correctness property:
-    serial and parallel rows are byte-identical once JSON-encoded.
+    Beyond timing, this asserts the parallel executor's correctness
+    property: serial and parallel rows are byte-identical once
+    JSON-encoded (so NaN compares equal to NaN).
     """
     from repro.experiments.omega import figure5c_6c_rows
 
@@ -993,9 +844,251 @@ def bench_sweep_serial_parallel(
         "scale": scale,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
+        "speedup": _per_s(serial_s, parallel_s),
         "identical_rows": serial_rows == parallel_rows,
     }
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+#: Enforcement rules for :class:`Expectation` rows.
+ALWAYS = "always"
+FULL = "full runs"
+PARALLEL = f"full runs on >= {PARALLEL_MIN_CORES} cores"
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """One pass/fail criterion: every value at its path in the
+    benchmark's result must be at least its floor (identity rows have
+    floor ``True``, so they pass only on ``True``)."""
+
+    name: str
+    #: Key of the value in the benchmark's result; a tuple for a
+    #: compound value, shown through :attr:`shown`.
+    path: str | tuple[str, ...]
+    floor: object
+    #: Floor at smoke sizes; ``None`` means :attr:`floor`.
+    smoke_floor: object = None
+    #: :data:`ALWAYS`, :data:`FULL` or :data:`PARALLEL`.
+    enforce: str = ALWAYS
+    #: Why, in a smoke run, the row is unenforced or has its own floor.
+    reason: str | None = None
+    #: Format for a compound value and floor.
+    shown: str | None = None
+
+    def evaluate(self, result: dict, smoke: bool, cores: int) -> dict:
+        keys = self.path if isinstance(self.path, tuple) else (self.path,)
+        values = tuple(result[key] for key in keys)
+        floor = self.floor
+        if smoke and self.smoke_floor is not None:
+            floor = self.smoke_floor
+        floors = floor if isinstance(floor, tuple) else (floor,)
+        if self.enforce == ALWAYS:
+            enforced, reason = True, self.reason if smoke else None
+        elif smoke:
+            enforced, reason = False, self.reason
+        elif self.enforce == PARALLEL and cores < PARALLEL_MIN_CORES:
+            enforced, reason = False, (
+                f"machine has {cores} core(s); needs >= {PARALLEL_MIN_CORES} "
+                f"to demonstrate parallel speedup"
+            )
+        else:
+            enforced, reason = True, None
+        return {
+            "name": self.name,
+            "value": self.shown.format(*values) if self.shown else values[0],
+            "floor": self.shown.format(*floors) if self.shown else floor,
+            "passed": all(v >= f for v, f in zip(values, floors)),
+            "enforced": enforced,
+            "reason": reason,
+        }
+
+
+_SMALL = "smoke run: sizes too small for stable timing"
+_SMOKE_FLOOR = "smoke run: smoke-size floor"
+
+
+@dataclass(frozen=True)
+class Benchmark:
+    """One registry entry."""
+
+    name: str
+    #: The ``bench_*`` function, called with the sizes below. For an
+    #: entry with a :attr:`source`, a function of that entry's result.
+    run: Callable[..., dict]
+    #: Higher-is-better metrics that :func:`gate` and ``--compare`` read.
+    metrics: tuple[str, ...]
+    #: The report line after ``name:``, formatted with the result.
+    report: str
+    #: Sizes of a full run, and what a smoke run overrides.
+    full: dict = field(default_factory=dict)
+    smoke: dict = field(default_factory=dict)
+    expectations: tuple[Expectation, ...] = ()
+    #: The entry whose result this one is read from, instead of running.
+    source: str | None = None
+
+    @property
+    def summary(self) -> str:
+        """The first paragraph of :attr:`run`'s docstring, on one line."""
+        return " ".join((self.run.__doc__ or "").split("\n\n")[0].split())
+
+
+BENCHMARKS: tuple[Benchmark, ...] = (
+    Benchmark(
+        "snapshot_resync",
+        bench_snapshot_resync,
+        full=dict(num_machines=10_000, iterations=400, writes_per_iteration=8,
+                  repeats=3),
+        smoke=dict(num_machines=2_000, iterations=60, repeats=1),
+        metrics=("speedup",),
+        report="full copy {full_copy_s:.4f}s vs resync {resync_s:.4f}s -> "
+        "{speedup:.2f}x ({num_machines} machines)",
+        expectations=(
+            Expectation("resync_speedup", "speedup", RESYNC_SPEEDUP_FLOOR,
+                        enforce=FULL, reason=_SMALL),
+        ),
+    ),
+    Benchmark(
+        "placement_pack",
+        bench_placement_pack,
+        full=dict(num_machines=10_000, placements=300, tasks_per_job=50,
+                  repeats=3),
+        smoke=dict(num_machines=2_000, placements=40, repeats=2),
+        metrics=("placements_per_s", "speedup"),
+        report="{placements_per_s:.0f} placements/s vs legacy "
+        "{legacy_placements_per_s:.0f} -> {speedup:.2f}x ({num_machines} "
+        "machines, {tasks_per_job} tasks/job)",
+        expectations=(
+            Expectation("placement_speedup", "speedup", PLACEMENT_SPEEDUP_FLOOR,
+                        PLACEMENT_SPEEDUP_FLOOR_SMOKE, reason=_SMOKE_FLOOR),
+        ),
+    ),
+    Benchmark(
+        "commit_batch",
+        bench_commit_batch,
+        full=dict(num_machines=10_000, transactions=200, claims_per_txn=256,
+                  hot_machines=256, repeats=3),
+        smoke=dict(num_machines=2_000, transactions=40, hot_machines=128,
+                   repeats=2),
+        metrics=("batch_claims_per_s", "speedup"),
+        report="{batch_claims_per_s:.0f} claims/s vs reference "
+        "{reference_claims_per_s:.0f} -> {speedup:.2f}x, outcomes "
+        "{identical_outcomes} ({num_machines} machines, {claims_per_txn} "
+        "claims/txn)",
+        expectations=(
+            Expectation("commit_batch_speedup", "speedup",
+                        COMMIT_BATCH_SPEEDUP_FLOOR,
+                        COMMIT_BATCH_SPEEDUP_FLOOR_SMOKE, reason=_SMOKE_FLOOR),
+            Expectation("commit_batch_identical", "identical_outcomes", True),
+        ),
+    ),
+    Benchmark(
+        "paper_scale",
+        bench_paper_scale,
+        full=dict(horizon_days=3.0, t_jobs=(0.1, 1.0, 10.0),
+                  machines=PAPER_SCALE_MACHINES),
+        smoke=dict(horizon_days=0.02, t_jobs=(1.0,), machines=1_000),
+        metrics=("events_per_s",),
+        report="cluster {cluster} x{machines} machines, {horizon_days:g} "
+        "day(s), {points} point(s): {events_processed} events in "
+        "{wall_s:.1f}s ({events_per_s:.0f} events/s)",
+        expectations=(
+            Expectation("paper_scale_shape", ("machines", "horizon_days"),
+                        (PAPER_SCALE_MACHINES, PAPER_SCALE_MIN_DAYS),
+                        enforce=FULL,
+                        reason="smoke run: reduced sweep, shape not claimed",
+                        shown="{} machines x {:g} days"),
+        ),
+    ),
+    Benchmark(
+        "event_loop",
+        _event_loop_view,
+        metrics=("events_per_s",),
+        report="{events_per_s:.0f} events/s",
+        source="tracing_overhead",
+    ),
+    Benchmark(
+        "tracing_overhead",
+        bench_tracing_overhead,
+        full=dict(events=200_000, repeats=3, timeline_every=100.0),
+        smoke=dict(events=20_000, repeats=1),
+        metrics=("noop_events_per_s", "active_events_per_s"),
+        report="plain {plain_events_per_s:.0f} ev/s, noop "
+        "{noop_events_per_s:.0f} ({noop_throughput_ratio:.2f}x), active "
+        "{active_events_per_s:.0f}, active+timeline "
+        "{timeline_events_per_s:.0f}",
+        expectations=(
+            Expectation("tracing_noop_throughput", "noop_throughput_ratio",
+                        NOOP_THROUGHPUT_FLOOR, enforce=FULL, reason=_SMALL),
+        ),
+    ),
+    # The three no-op floors below hold in smoke runs too: a guard's
+    # relative cost does not depend on benchmark size.
+    Benchmark(
+        "sanitizer_overhead",
+        bench_sanitizer_overhead,
+        full=dict(num_machines=2_000, operations=200_000, repeats=3),
+        smoke=dict(num_machines=500, operations=50_000),
+        metrics=("off_ops_per_s",),
+        report="plain {plain_ops_per_s:.0f} ops/s, off {off_ops_per_s:.0f} "
+        "({off_throughput_ratio:.2f}x), on {on_ops_per_s:.0f} "
+        "({on_overhead_x:.2f}x slower)",
+        expectations=(
+            Expectation("sanitizer_off_throughput", "off_throughput_ratio",
+                        SANITIZER_OFF_FLOOR),
+        ),
+    ),
+    Benchmark(
+        "predictor_overhead",
+        bench_predictor_overhead,
+        full=dict(num_machines=2_000, attempts=5_000, tasks_per_job=10,
+                  repeats=3),
+        smoke=dict(num_machines=500, attempts=2_000),
+        metrics=("off_attempts_per_s",),
+        report="plain {plain_attempts_per_s:.0f} attempts/s, off "
+        "{off_attempts_per_s:.0f} ({off_throughput_ratio:.2f}x), on "
+        "{on_attempts_per_s:.0f} ({on_overhead_x:.2f}x slower)",
+        expectations=(
+            Expectation("predictor_off_throughput", "off_throughput_ratio",
+                        PREDICTOR_OFF_FLOOR),
+        ),
+    ),
+    Benchmark(
+        "federation_overhead",
+        bench_federation_overhead,
+        full=dict(scale=0.2, horizon=3600.0, repeats=3),
+        smoke=dict(scale=0.05, horizon=1800.0),
+        metrics=("federated_events_per_s",),
+        report="plain {plain_events_per_s:.0f} ev/s, 1-cell federated "
+        "{federated_events_per_s:.0f} ({federated_throughput_ratio:.2f}x, "
+        "{events_processed} events)",
+        expectations=(
+            Expectation("federation_overhead", "federated_throughput_ratio",
+                        FEDERATION_OVERHEAD_FLOOR),
+        ),
+    ),
+    Benchmark(
+        "sweep_serial_parallel",
+        bench_sweep_serial_parallel,
+        # ``jobs`` is replaced by ``omega-sim bench --jobs``.
+        full=dict(jobs=4, horizon=1800.0, scale=0.1,
+                  t_jobs=(0.1, 1.0, 10.0, 100.0), clusters=("A", "B")),
+        smoke=dict(horizon=300.0, scale=0.05, t_jobs=(0.1, 10.0),
+                   clusters=("A",)),
+        metrics=("speedup",),
+        report="serial {serial_s:.2f}s vs --jobs {jobs} {parallel_s:.2f}s -> "
+        "{speedup:.2f}x, rows {identical_rows}",
+        expectations=(
+            Expectation("serial_parallel_identical", "identical_rows", True),
+            Expectation("parallel_speedup", "speedup", PARALLEL_SPEEDUP_FLOOR,
+                        enforce=PARALLEL,
+                        reason="smoke run: horizon too short to amortize "
+                        "worker startup"),
+        ),
+    ),
+)
 
 
 # ----------------------------------------------------------------------
@@ -1004,260 +1097,58 @@ def bench_sweep_serial_parallel(
 def run_benchmarks(smoke: bool = False, jobs: int = 4) -> dict:
     """Run the full suite (or a seconds-scale smoke version) and return
     the result document, expectations evaluated."""
-    if smoke:
-        benchmarks = {
-            "snapshot_resync": bench_snapshot_resync(
-                num_machines=2_000, iterations=60, repeats=1
-            ),
-            "placement_pack": bench_placement_pack(
-                num_machines=2_000, placements=40, repeats=2
-            ),
-            "commit_batch": bench_commit_batch(
-                num_machines=2_000, transactions=40, hot_machines=128,
-                repeats=2,
-            ),
-            "paper_scale": bench_paper_scale(
-                horizon_days=0.02, t_jobs=(1.0,), machines=1_000
-            ),
-            "event_loop": bench_event_loop(events=20_000, repeats=1),
-            "tracing_overhead": bench_tracing_overhead(
-                events=20_000, repeats=1, timeline_every=100.0
-            ),
-            "sanitizer_overhead": bench_sanitizer_overhead(
-                num_machines=500, operations=50_000, repeats=3
-            ),
-            "predictor_overhead": bench_predictor_overhead(
-                num_machines=500, attempts=2_000, repeats=3
-            ),
-            "federation_overhead": bench_federation_overhead(
-                scale=0.05, horizon=1800.0, repeats=3
-            ),
-            "sweep_serial_parallel": bench_sweep_serial_parallel(
-                jobs=jobs, horizon=300.0, scale=0.05, t_jobs=(0.1, 10.0),
-                clusters=("A",),
-            ),
-        }
-    else:
-        benchmarks = {
-            "snapshot_resync": bench_snapshot_resync(),
-            "placement_pack": bench_placement_pack(),
-            "commit_batch": bench_commit_batch(),
-            "paper_scale": bench_paper_scale(),
-            "event_loop": bench_event_loop(),
-            "tracing_overhead": bench_tracing_overhead(),
-            "sanitizer_overhead": bench_sanitizer_overhead(),
-            "predictor_overhead": bench_predictor_overhead(),
-            "federation_overhead": bench_federation_overhead(),
-            "sweep_serial_parallel": bench_sweep_serial_parallel(jobs=jobs),
-        }
+    done = {}
+    # Entries read from another entry's result go after everything runs.
+    for entry in sorted(BENCHMARKS, key=lambda entry: entry.source is not None):
+        if entry.source is not None:
+            done[entry.name] = entry.run(done[entry.source])
+            continue
+        kwargs = {**entry.full, **(entry.smoke if smoke else {})}
+        if "jobs" in kwargs:
+            kwargs["jobs"] = jobs
+        done[entry.name] = entry.run(**kwargs)
     results = {
         "format_version": FORMAT_VERSION,
         "smoke": smoke,
         "machine": machine_info(),
-        "benchmarks": benchmarks,
+        "benchmarks": {entry.name: done[entry.name] for entry in BENCHMARKS},
     }
     results["expectations"] = evaluate_expectations(results)
     return results
 
 
 def evaluate_expectations(results: dict) -> list[dict]:
-    """The suite's structural pass/fail criteria.
+    """The suite's structural pass/fail criteria, one per
+    :class:`Expectation` row in registry order.
 
     Each entry records whether it passed AND whether it is *enforced*:
-    speedup floors that depend on hardware the current machine lacks
-    (parallel speedup on a single-core box) or on sizes the smoke run
-    skips are recorded as unenforced so the gate stays honest about what
-    it actually verified.
+    floors that depend on hardware the current machine lacks (parallel
+    speedup on a single-core box) or on sizes the smoke run skips are
+    recorded as unenforced, with the reason, so the gate stays honest
+    about what it actually verified.
     """
-    benchmarks = results["benchmarks"]
     smoke = results["smoke"]
     cores = results["machine"]["cpu_count"]
-    expectations = []
-
-    resync = benchmarks["snapshot_resync"]
-    expectations.append(
-        {
-            "name": "resync_speedup",
-            "value": resync["speedup"],
-            "floor": RESYNC_SPEEDUP_FLOOR,
-            "passed": resync["speedup"] >= RESYNC_SPEEDUP_FLOOR,
-            # Smoke sizes are too small for a stable ratio.
-            "enforced": not smoke,
-            "reason": "smoke run: sizes too small for stable timing"
-            if smoke
-            else None,
-        }
-    )
-
-    pack = benchmarks["placement_pack"]
-    placement_floor = (
-        PLACEMENT_SPEEDUP_FLOOR_SMOKE if smoke else PLACEMENT_SPEEDUP_FLOOR
-    )
-    expectations.append(
-        {
-            "name": "placement_speedup",
-            "value": pack["speedup"],
-            "floor": placement_floor,
-            "passed": pack["speedup"] >= placement_floor,
-            # Enforced in smoke runs too (with the smoke-size floor): a
-            # kernel regression should fail CI, not wait for a full run.
-            "enforced": True,
-            "reason": "smoke run: smoke-size floor" if smoke else None,
-        }
-    )
-
-    commit_batch = benchmarks["commit_batch"]
-    commit_floor = (
-        COMMIT_BATCH_SPEEDUP_FLOOR_SMOKE if smoke else COMMIT_BATCH_SPEEDUP_FLOOR
-    )
-    expectations.append(
-        {
-            "name": "commit_batch_speedup",
-            "value": commit_batch["speedup"],
-            "floor": commit_floor,
-            "passed": commit_batch["speedup"] >= commit_floor,
-            "enforced": True,
-            "reason": "smoke run: smoke-size floor" if smoke else None,
-        }
-    )
-    expectations.append(
-        {
-            "name": "commit_batch_identical",
-            "value": commit_batch["identical_outcomes"],
-            "floor": True,
-            "passed": bool(commit_batch["identical_outcomes"]),
-            "enforced": True,
-            "reason": None,
-        }
-    )
-
-    paper = benchmarks["paper_scale"]
-    at_scale = (
-        paper["machines"] >= PAPER_SCALE_MACHINES
-        and paper["horizon_days"] >= PAPER_SCALE_MIN_DAYS
-    )
-    expectations.append(
-        {
-            "name": "paper_scale_shape",
-            "value": f"{paper['machines']} machines x "
-            f"{paper['horizon_days']:g} days",
-            "floor": f"{PAPER_SCALE_MACHINES} machines x "
-            f"{PAPER_SCALE_MIN_DAYS:g} days",
-            "passed": at_scale,
-            # Smoke runs use a scaled-down sweep by design; only full
-            # runs claim the paper-scale proof.
-            "enforced": not smoke,
-            "reason": "smoke run: reduced sweep, shape not claimed"
-            if smoke
-            else None,
-        }
-    )
-
-    tracing = benchmarks["tracing_overhead"]
-    expectations.append(
-        {
-            "name": "tracing_noop_throughput",
-            "value": tracing["noop_throughput_ratio"],
-            "floor": NOOP_THROUGHPUT_FLOOR,
-            "passed": tracing["noop_throughput_ratio"] >= NOOP_THROUGHPUT_FLOOR,
-            # Smoke sizes are too small for a stable ratio.
-            "enforced": not smoke,
-            "reason": "smoke run: sizes too small for stable timing"
-            if smoke
-            else None,
-        }
-    )
-
-    sanitizer = benchmarks["sanitizer_overhead"]
-    expectations.append(
-        {
-            "name": "sanitizer_off_throughput",
-            "value": sanitizer["off_throughput_ratio"],
-            "floor": SANITIZER_OFF_FLOOR,
-            "passed": sanitizer["off_throughput_ratio"] >= SANITIZER_OFF_FLOOR,
-            # The ACTIVE-is-None guard's relative cost is independent of
-            # benchmark size, so this floor holds in smoke runs too.
-            "enforced": True,
-            "reason": None,
-        }
-    )
-
-    predictor = benchmarks["predictor_overhead"]
-    expectations.append(
-        {
-            "name": "predictor_off_throughput",
-            "value": predictor["off_throughput_ratio"],
-            "floor": PREDICTOR_OFF_FLOOR,
-            "passed": predictor["off_throughput_ratio"] >= PREDICTOR_OFF_FLOOR,
-            # The predictor-is-None guards' relative cost is independent
-            # of benchmark size, so this floor holds in smoke runs too.
-            "enforced": True,
-            "reason": None,
-        }
-    )
-
-    federation = benchmarks["federation_overhead"]
-    expectations.append(
-        {
-            "name": "federation_overhead",
-            "value": federation["federated_throughput_ratio"],
-            "floor": FEDERATION_OVERHEAD_FLOOR,
-            "passed": (
-                federation["federated_throughput_ratio"]
-                >= FEDERATION_OVERHEAD_FLOOR
-            ),
-            # The front door's per-event cost is independent of
-            # benchmark size, so this floor holds in smoke runs too.
-            "enforced": True,
-            "reason": None,
-        }
-    )
-
-    sweep = benchmarks["sweep_serial_parallel"]
-    expectations.append(
-        {
-            "name": "serial_parallel_identical",
-            "value": sweep["identical_rows"],
-            "floor": True,
-            "passed": bool(sweep["identical_rows"]),
-            "enforced": True,
-            "reason": None,
-        }
-    )
-    enough_cores = cores >= PARALLEL_MIN_CORES
-    expectations.append(
-        {
-            "name": "parallel_speedup",
-            "value": sweep["speedup"],
-            "floor": PARALLEL_SPEEDUP_FLOOR,
-            "passed": sweep["speedup"] >= PARALLEL_SPEEDUP_FLOOR,
-            "enforced": enough_cores and not smoke,
-            "reason": None
-            if enough_cores and not smoke
-            else (
-                "smoke run: horizon too short to amortize worker startup"
-                if smoke
-                else f"machine has {cores} core(s); "
-                f"needs >= {PARALLEL_MIN_CORES} to demonstrate parallel speedup"
-            ),
-        }
-    )
-    return expectations
+    return [
+        row.evaluate(results["benchmarks"][entry.name], smoke, cores)
+        for entry in BENCHMARKS
+        for row in entry.expectations
+    ]
 
 
-#: Baseline-comparison metrics where higher is better, per benchmark.
-_THROUGHPUT_METRICS = {
-    "snapshot_resync": ("speedup",),
-    "placement_pack": ("placements_per_s", "speedup"),
-    "commit_batch": ("batch_claims_per_s", "speedup"),
-    "paper_scale": ("events_per_s",),
-    "event_loop": ("events_per_s",),
-    "tracing_overhead": ("noop_events_per_s", "active_events_per_s"),
-    "sanitizer_overhead": ("off_ops_per_s",),
-    "predictor_overhead": ("off_attempts_per_s",),
-    "federation_overhead": ("federated_events_per_s",),
-    "sweep_serial_parallel": ("speedup",),
-}
+def _throughput_pairs(old: dict, new: dict):
+    """``(bench.metric, old value, new value)`` for every registered
+    throughput metric present in both result documents."""
+    for entry in BENCHMARKS:
+        old_bench = old.get("benchmarks", {}).get(entry.name)
+        new_bench = new.get("benchmarks", {}).get(entry.name)
+        if not old_bench or not new_bench:
+            continue
+        for metric in entry.metrics:
+            old_value = old_bench.get(metric)
+            new_value = new_bench.get(metric)
+            if old_value is not None and new_value is not None:
+                yield f"{entry.name}.{metric}", old_value, new_value
 
 
 def gate(
@@ -1289,22 +1180,13 @@ def gate(
         return failures
     if baseline.get("smoke") != results.get("smoke"):
         return failures
-    for name, metrics in _THROUGHPUT_METRICS.items():
-        base_bench = baseline.get("benchmarks", {}).get(name)
-        curr_bench = results["benchmarks"].get(name)
-        if not base_bench or not curr_bench:
-            continue
-        for metric in metrics:
-            base = base_bench.get(metric)
-            curr = curr_bench.get(metric)
-            if base is None or curr is None:
-                continue
-            floor = base * (1.0 - tolerance)
-            if curr < floor:
-                failures.append(
-                    f"regression in {name}.{metric}: {curr:.3g} < "
-                    f"{floor:.3g} (baseline {base:.3g} - {tolerance:.0%})"
-                )
+    for label, base, curr in _throughput_pairs(baseline, results):
+        floor = base * (1.0 - tolerance)
+        if curr < floor:
+            failures.append(
+                f"regression in {label}: {curr:.3g} < "
+                f"{floor:.3g} (baseline {base:.3g} - {tolerance:.0%})"
+            )
     return failures
 
 
@@ -1316,80 +1198,25 @@ def render_report(results: dict) -> str:
         f"machine: {machine['cpu_count']} core(s), {machine['platform']}, "
         f"python {machine['python']}, numpy {machine['numpy']}"
     )
+    expectations = results["expectations"]
     if results["smoke"]:
-        lines.append("mode: smoke (reduced sizes; timing floors not enforced)")
-    resync = results["benchmarks"]["snapshot_resync"]
-    lines.append(
-        f"snapshot_resync: full copy {resync['full_copy_s']:.4f}s vs resync "
-        f"{resync['resync_s']:.4f}s -> {resync['speedup']:.2f}x "
-        f"({resync['num_machines']} machines)"
-    )
-    pack = results["benchmarks"]["placement_pack"]
-    lines.append(
-        f"placement_pack: {pack['placements_per_s']:.0f} placements/s vs "
-        f"legacy {pack['legacy_placements_per_s']:.0f} -> "
-        f"{pack['speedup']:.2f}x "
-        f"({pack['num_machines']} machines, {pack['tasks_per_job']} tasks/job)"
-    )
-    commit_batch = results["benchmarks"]["commit_batch"]
-    outcomes = (
-        "identical" if commit_batch["identical_outcomes"] else "DIFFERENT"
-    )
-    lines.append(
-        f"commit_batch: {commit_batch['batch_claims_per_s']:.0f} claims/s vs "
-        f"reference {commit_batch['reference_claims_per_s']:.0f} -> "
-        f"{commit_batch['speedup']:.2f}x, outcomes {outcomes} "
-        f"({commit_batch['num_machines']} machines, "
-        f"{commit_batch['claims_per_txn']} claims/txn)"
-    )
-    paper = results["benchmarks"]["paper_scale"]
-    lines.append(
-        f"paper_scale: cluster {paper['cluster']} x{paper['machines']} "
-        f"machines, {paper['horizon_days']:g} day(s), {paper['points']} "
-        f"point(s): {paper['events_processed']} events in "
-        f"{paper['wall_s']:.1f}s ({paper['events_per_s']:.0f} events/s)"
-    )
-    loop = results["benchmarks"]["event_loop"]
-    lines.append(f"event_loop: {loop['events_per_s']:.0f} events/s")
-    tracing = results["benchmarks"]["tracing_overhead"]
-    lines.append(
-        f"tracing_overhead: plain {tracing['plain_events_per_s']:.0f} ev/s, "
-        f"noop {tracing['noop_events_per_s']:.0f} "
-        f"({tracing['noop_throughput_ratio']:.2f}x), "
-        f"active {tracing['active_events_per_s']:.0f}, "
-        f"active+timeline {tracing['timeline_events_per_s']:.0f}"
-    )
-    sanitizer = results["benchmarks"]["sanitizer_overhead"]
-    lines.append(
-        f"sanitizer_overhead: plain {sanitizer['plain_ops_per_s']:.0f} ops/s, "
-        f"off {sanitizer['off_ops_per_s']:.0f} "
-        f"({sanitizer['off_throughput_ratio']:.2f}x), "
-        f"on {sanitizer['on_ops_per_s']:.0f} "
-        f"({sanitizer['on_overhead_x']:.2f}x slower)"
-    )
-    predictor = results["benchmarks"]["predictor_overhead"]
-    lines.append(
-        f"predictor_overhead: plain {predictor['plain_attempts_per_s']:.0f} "
-        f"attempts/s, off {predictor['off_attempts_per_s']:.0f} "
-        f"({predictor['off_throughput_ratio']:.2f}x), "
-        f"on {predictor['on_attempts_per_s']:.0f} "
-        f"({predictor['on_overhead_x']:.2f}x slower)"
-    )
-    federation = results["benchmarks"]["federation_overhead"]
-    lines.append(
-        f"federation_overhead: plain {federation['plain_events_per_s']:.0f} "
-        f"ev/s, 1-cell federated {federation['federated_events_per_s']:.0f} "
-        f"({federation['federated_throughput_ratio']:.2f}x, "
-        f"{federation['events_processed']} events)"
-    )
-    sweep = results["benchmarks"]["sweep_serial_parallel"]
-    identical = "identical" if sweep["identical_rows"] else "DIFFERENT"
-    lines.append(
-        f"sweep_serial_parallel: serial {sweep['serial_s']:.2f}s vs "
-        f"--jobs {sweep['jobs']} {sweep['parallel_s']:.2f}s -> "
-        f"{sweep['speedup']:.2f}x, rows {identical}"
-    )
-    for expectation in results["expectations"]:
+        enforced = [e["name"] for e in expectations if e["enforced"]]
+        recorded = [e["name"] for e in expectations if not e["enforced"]]
+        lines.append(
+            f"mode: smoke (reduced sizes; enforced: {', '.join(enforced)}; "
+            f"recorded only: {', '.join(recorded)})"
+        )
+    for entry in BENCHMARKS:
+        result = results["benchmarks"][entry.name]
+        # The only booleans in a result are identity checks.
+        fields = {
+            key: ("identical" if value else "DIFFERENT")
+            if isinstance(value, bool)
+            else value
+            for key, value in result.items()
+        }
+        lines.append(f"{entry.name}: {entry.report.format(**fields)}")
+    for expectation in expectations:
         status = "PASS" if expectation["passed"] else "FAIL"
         if not expectation["enforced"]:
             status += f" (not enforced: {expectation['reason']})"
@@ -1426,50 +1253,46 @@ def render_compare(old: dict, new: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     rows = 0
-    for name, metrics in _THROUGHPUT_METRICS.items():
-        old_bench = old.get("benchmarks", {}).get(name)
-        new_bench = new.get("benchmarks", {}).get(name)
-        if not old_bench or not new_bench:
-            continue
-        for metric in metrics:
-            old_value = old_bench.get(metric)
-            new_value = new_bench.get(metric)
-            if old_value is None or new_value is None:
-                continue
-            delta = (
-                (new_value - old_value) / old_value
-                if old_value
-                else float("inf")
-            )
-            lines.append(
-                f"{name + '.' + metric:<40} {old_value:>12.4g} "
-                f"{new_value:>12.4g} {delta:>+7.1%}"
-            )
-            rows += 1
+    for label, old_value, new_value in _throughput_pairs(old, new):
+        delta = (
+            (new_value - old_value) / old_value
+            if old_value
+            else float("inf")
+        )
+        lines.append(
+            f"{label:<40} {old_value:>12.4g} "
+            f"{new_value:>12.4g} {delta:>+7.1%}"
+        )
+        rows += 1
     if rows == 0:
         lines.append("(no comparable throughput metrics found)")
     return "\n".join(lines)
+
+
+def _load(path: str, description: str) -> dict | None:
+    """A saved result document, or ``None`` after saying on stderr why
+    it is missing, corrupt or schema-invalid."""
+    from repro.recovery.artifacts import ArtifactError, load_json_artifact
+
+    try:
+        return load_json_artifact(
+            path, description=description, require=("benchmarks", "machine")
+        )
+    except ArtifactError as exc:
+        print(f"omega-sim bench: {exc}", file=sys.stderr)
+        return None
 
 
 def main_compare(old_path: str, new_path: str) -> int:
     """``omega-sim bench --compare OLD NEW``: load two saved results and
     print the delta table. Exit 2 on missing/corrupt/schema-invalid
     inputs, 0 otherwise (the comparison itself is informational)."""
-    from repro.recovery.artifacts import ArtifactError, load_json_artifact
-
     documents = []
     for path in (old_path, new_path):
-        try:
-            documents.append(
-                load_json_artifact(
-                    path,
-                    description="bench results",
-                    require=("benchmarks", "machine"),
-                )
-            )
-        except ArtifactError as exc:
-            print(f"omega-sim bench: {exc}", file=sys.stderr)
+        document = _load(path, "bench results")
+        if document is None:
             return 2
+        documents.append(document)
     print(render_compare(documents[0], documents[1]))
     return 0
 
@@ -1477,21 +1300,15 @@ def main_compare(old_path: str, new_path: str) -> int:
 def main_bench(args) -> int:
     """``omega-sim bench`` entry point (argparse namespace in, exit
     status out)."""
-    from repro.recovery.artifacts import ArtifactError, load_json_artifact, write_json_artifact
+    from repro.recovery.artifacts import write_json_artifact
 
     if getattr(args, "compare", None):
         return main_compare(args.compare[0], args.compare[1])
 
     baseline = None
     if args.baseline:
-        try:
-            baseline = load_json_artifact(
-                args.baseline,
-                description="bench baseline",
-                require=("benchmarks", "machine"),
-            )
-        except ArtifactError as exc:
-            print(f"omega-sim bench: {exc}", file=sys.stderr)
+        baseline = _load(args.baseline, "bench baseline")
+        if baseline is None:
             return 2
     results = run_benchmarks(smoke=args.smoke, jobs=args.jobs)
     print(render_report(results))
@@ -1502,3 +1319,13 @@ def main_bench(args) -> int:
     for failure in failures:
         print(f"omega-sim bench: FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+if __doc__:  # ``python -OO`` strips docstrings
+    __doc__ += "\n" + "\n".join(
+        f"``{entry.name}``\n"
+        + textwrap.indent(
+            textwrap.fill(entry.summary, 68, break_on_hyphens=False), "    "
+        )
+        for entry in BENCHMARKS
+    )

@@ -134,6 +134,28 @@ class TestHealthChecking:
         assert door.suspended_until[0] == pytest.approx(104.0)
         assert door.abandoned_by_reason == {"reroute-cap": 1}
 
+    def test_backoff_survives_more_than_1024_failures(self):
+        # 2.0 ** 1024 raises OverflowError: a cell that stays dark for
+        # more than 1,024 consecutive deliveries must keep the cap.
+        cells = [StubCell(0)]
+        cells[0].reachable = False
+        sim, door = make_front_door(
+            cells,
+            route_timeout=1.0,
+            backoff_base=10.0,
+            backoff_cap=35.0,
+            max_reroutes=2_100,
+        )
+        door.submit(make_job())
+        sim.run()
+        # Every timeout but the first two is charged a 35 s suspension
+        # (10, 20, then capped) plus its 1 s route timeout.
+        assert door.failures[0] == 1_051
+        assert door.route_timeouts == 1_051
+        last_timeout = 1.0 + 11.0 + 21.0 + 36.0 * 1_048
+        assert door.suspended_until[0] == pytest.approx(last_timeout + 35.0)
+        assert door.abandoned_by_reason == {"reroute-cap": 1}
+
     def test_reroute_cap_abandons_explicitly(self):
         cells = [StubCell(0)]
         cells[0].reachable = False

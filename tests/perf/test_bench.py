@@ -358,3 +358,145 @@ class TestCompare:
         rc = main(["bench", "--compare", invalid, new])
         assert rc == 2
         assert "benchmarks" in capsys.readouterr().err
+
+
+class TestPaired:
+    def test_warm_up_then_interleaved_rounds(self):
+        calls = []
+        seconds = {"base": [4.0, 2.0, 3.0], "fast": [2.0, 1.0, 2.0]}
+
+        def run(mode):
+            calls.append(mode)
+            return seconds[mode].pop(0)
+
+        best, ratios = bench.paired(("base", "fast"), run, repeats=2)
+        assert calls == ["base", "fast"] * 3
+        # The warm-up round (4.0 / 2.0) is not timed.
+        assert best == {"base": 2.0, "fast": 1.0}
+        assert ratios == {"fast": [2.0, 1.5]}
+
+
+class TestRegistry:
+    def test_every_benchmark_runs_reports_and_resolves(self, smoke_results):
+        names = [entry.name for entry in bench.BENCHMARKS]
+        assert list(smoke_results["benchmarks"]) == names
+        report = bench.render_report(smoke_results)
+        for name in names:
+            assert f"\n{name}: " in report
+        for entry in bench.BENCHMARKS:
+            result = smoke_results["benchmarks"][entry.name]
+            for metric in entry.metrics:
+                assert result[metric] > 0
+            for row in entry.expectations:
+                keys = row.path if isinstance(row.path, tuple) else (row.path,)
+                for key in keys:
+                    assert key in result, f"{row.name}: {entry.name}.{key}"
+        assert [e["name"] for e in smoke_results["expectations"]] == [
+            row.name for entry in bench.BENCHMARKS for row in entry.expectations
+        ]
+
+    def test_event_loop_is_the_tracing_plain_mode(self, smoke_results):
+        loop = smoke_results["benchmarks"]["event_loop"]
+        tracing = smoke_results["benchmarks"]["tracing_overhead"]
+        assert loop["events"] == tracing["events"]
+        assert loop["events_per_s"] == tracing["plain_events_per_s"]
+
+    def test_smoke_header_names_what_is_enforced(self, smoke_results):
+        header = bench.render_report(smoke_results).splitlines()[1]
+        assert header.startswith("mode: smoke")
+        enforced, recorded = header.split("enforced: ")[1].split("; recorded only: ")
+        expectations = smoke_results["expectations"]
+        assert enforced.split(", ") == [e["name"] for e in expectations if e["enforced"]]
+        assert recorded.rstrip(")").split(", ") == [
+            e["name"] for e in expectations if not e["enforced"]
+        ]
+
+    def test_performance_doc_lists_the_registry(self):
+        from pathlib import Path
+
+        doc = Path(__file__).parents[2] / "docs" / "PERFORMANCE.md"
+        expected = _performance_table()
+        assert expected in doc.read_text(), (
+            "docs/PERFORMANCE.md section 5 must carry the registry table:\n"
+            + expected
+        )
+
+
+def _performance_table() -> str:
+    """The benchmark table of docs/PERFORMANCE.md, from the registry."""
+
+    def expectation(row) -> str:
+        if row.floor is True:
+            bound = "is true"
+        elif row.shown:
+            bound = "≥ " + row.shown.format(*row.floor)
+        else:
+            bound = f"≥ {row.floor:g}"
+        if row.smoke_floor is not None:
+            bound += f" ({row.smoke_floor:g} in smoke runs)"
+        return f"`{row.name}` {bound}, enforced {row.enforce}"
+
+    lines = [
+        "| name | measures | gated metrics | expectations |",
+        "|---|---|---|---|",
+    ]
+    for entry in bench.BENCHMARKS:
+        rows = "; ".join(expectation(row) for row in entry.expectations)
+        metrics = ", ".join(f"`{metric}`" for metric in entry.metrics)
+        lines.append(
+            f"| `{entry.name}` | {entry.summary.replace('``', '`')} | "
+            f"{metrics} | {rows or 'baseline comparison only'} |"
+        )
+    return "\n".join(lines)
+
+
+class TestSanitizerReplica:
+    """The sanitizer benchmark's hook-free baseline must stay a faithful
+    copy of ``CellState.claim``/``release``."""
+
+    @staticmethod
+    def _replay(claim, release, sizes, cpu, mem, count):
+        from repro.core.cellstate import CellState
+
+        state = CellState(bench._bench_cell(sizes["num_machines"]))
+        schedule = bench.sanitizer_schedule(sizes["num_machines"], sizes["operations"])
+        for machine in schedule:
+            claim(state, machine, cpu, mem, count)
+            release(state, machine, cpu, mem, count)
+        return state
+
+    @pytest.mark.parametrize(
+        "cpu, mem, count",
+        [(0.001, 0.001, 1), (16.0 / 3, 64.0 / 3, 3)],
+        ids=["benchmark", "brim-full"],
+    )
+    def test_replica_leaves_the_real_state(self, cpu, mem, count):
+        from repro.core.cellstate import CellState
+
+        entry = {e.name: e for e in bench.BENCHMARKS}["sanitizer_overhead"]
+        sizes = {**entry.full, **entry.smoke}
+        plain = self._replay(
+            bench.plain_claim, bench.plain_release, sizes, cpu, mem, count
+        )
+        real = self._replay(
+            CellState.claim, CellState.release, sizes, cpu, mem, count
+        )
+        assert (plain.free_cpu == real.free_cpu).all()
+        assert (plain.free_mem == real.free_mem).all()
+        assert (plain.seq == real.seq).all()
+        assert plain.version == real.version
+        assert plain.used_cpu == real.used_cpu
+        assert plain.used_mem == real.used_mem
+
+    def test_replica_rejects_what_the_real_path_rejects(self):
+        from repro.core.cellstate import CellState, OvercommitError
+
+        state = CellState(bench._bench_cell(4))
+        for claim in (bench.plain_claim, CellState.claim):
+            with pytest.raises(ValueError):
+                claim(state, 0, 1.0, 1.0, 0)
+            with pytest.raises(OvercommitError):
+                claim(state, 0, 17.0, 1.0)
+        for release in (bench.plain_release, CellState.release):
+            with pytest.raises(OvercommitError):
+                release(state, 0, 1.0, 1.0)
