@@ -20,6 +20,10 @@ Run it directly (used by CI)::
     python -m repro.analysis.determinism --scale 0.05 --hours 0.5
     python -m repro.analysis.determinism --scale 0.05 --hours 0.5 --compare-jobs 4
 
+Without ``--experiment`` it gates every experiment of the ``omega-sim``
+registry that has a small variant (see
+:data:`repro.experiments.cli.GATE_EXPERIMENTS`).
+
 Note the gate runs both passes in one process, so it cannot see
 ``PYTHONHASHSEED``-dependent divergence between *processes* — that is
 DET003's job; the gate catches everything else (stateful module
@@ -181,118 +185,35 @@ def run_parallel_gate(
 # ----------------------------------------------------------------------
 # CLI (CI entry point)
 # ----------------------------------------------------------------------
-def _representative_experiment(
-    name: str, seed: int, scale: float, horizon: float
-) -> Callable[[int], Any]:
-    """A small experiment that exercises the full Omega txn pipeline.
-
-    The returned callable takes the worker count (``jobs``), so the same
-    experiments serve the double-run gate (called with the default) and
-    the serial-vs-parallel gate.
-    """
-    if name == "fig5c":
-        from repro.experiments.omega import figure5c_6c_rows
-
-        return lambda jobs=1: figure5c_6c_rows(
-            t_jobs=(1.0,), horizon=horizon, seed=seed, scale=scale, jobs=jobs
-        )
-    if name == "fig8":
-        from repro.experiments.omega import figure8_rows
-
-        return lambda jobs=1: figure8_rows(
-            factors=(1.0, 4.0), horizon=horizon, seed=seed, scale=scale, jobs=jobs
-        )
-    if name == "fig14":
-        from repro.experiments.conflict_modes import figure14_rows
-
-        return lambda jobs=1: figure14_rows(
-            horizon=horizon, seed=seed, scale=scale, jobs=jobs
-        )
-    if name == "resilience":
-        # The fault-injection paths: chaos engine (machine failures,
-        # scheduler crashes, commit delay/drop), starvation-escalation
-        # retries, and the invariant checker must all replay exactly —
-        # their trace events are compared like any other record.
-        from repro.experiments.resilience import resilience_rows
-
-        return lambda jobs=1: resilience_rows(
-            intensities=(0.0, 5.0),
-            architectures=("mesos", "omega"),
-            policy="starvation",
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    if name == "conflict-avoidance":
-        # The predictor-on paths: contention-score updates from the
-        # commit hook, hot-machine placement steering, predictive
-        # escalation, predictor crash-resets under chaos, and the
-        # predict.* trace events must all replay exactly — and the
-        # predictor-off half of the grid re-proves the off path is
-        # byte-stable in the same run.
-        from repro.experiments.conflict_avoidance import conflict_avoidance_rows
-
-        return lambda jobs=1: conflict_avoidance_rows(
-            factors=(4.0,),
-            intensities=(0.0, 5.0),
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    if name == "federation":
-        # The multi-cell paths: shared-event-loop cells, front-door
-        # routing and health checks, digest publication, cell blackouts
-        # with in-flight loss and backlog migration, feed partitions and
-        # link flaps, and the end-to-end accounting invariant — the
-        # fed.* and fault.cell_* trace events replay exactly or fail.
-        from repro.experiments.federation import federation_rows
-
-        return lambda jobs=1: federation_rows(
-            cells=(1, 2),
-            staleness_values=(0.0, 120.0),
-            intensities=(0.0, 5.0),
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    raise ValueError(f"unknown experiment: {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
+    # The experiments are the small variants of the omega-sim registry.
+    from repro.experiments.cli import (
+        GATE_EXPERIMENTS,
+        SMOKE_HOURS,
+        SMOKE_SCALE,
+        small_variant,
+    )
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.determinism",
-        description="Run an experiment twice with the same master seed "
+        description="Run experiments twice with the same master seed "
         "and fail if the structured traces differ in anything but wall "
         "time.",
     )
     parser.add_argument(
         "--experiment",
-        choices=(
-            "fig5c",
-            "fig8",
-            "fig14",
-            "resilience",
-            "conflict-avoidance",
-            "federation",
-        ),
-        default="fig8",
-        help="representative experiment to double-run (default: fig8); "
-        "'resilience' double-runs a fault-injected sweep so the chaos "
-        "engine and retry policies are themselves gated; "
-        "'conflict-avoidance' double-runs a predictor-on/off sweep so "
-        "the predictive steering and escalation paths are gated too; "
-        "'federation' double-runs a multi-cell sweep with cell "
-        "blackouts, feed partitions and link flaps",
+        choices=GATE_EXPERIMENTS,
+        default=None,
+        help="gate only this experiment, the small variant of the "
+        "omega-sim command of that name (default: every one; "
+        "--kill-resume needs exactly one)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument(
-        "--scale", type=float, default=0.05, help="cell scale factor"
+        "--scale", type=float, default=SMOKE_SCALE, help="cell scale factor"
     )
     parser.add_argument(
-        "--hours", type=float, default=0.5, help="simulated horizon in hours"
+        "--hours", type=float, default=SMOKE_HOURS, help="simulated horizon in hours"
     )
     parser.add_argument(
         "--timeline-interval",
@@ -342,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
 
         from repro.recovery.gate import run_kill_resume_gate
 
+        if args.experiment is None:
+            parser.error("--kill-resume takes exactly one --experiment")
         try:
             report = run_kill_resume_gate(
                 experiment=args.experiment,
@@ -364,39 +287,39 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.identical else 1
 
     try:
-        experiment = _representative_experiment(
-            args.experiment, args.seed, args.scale, args.hours * 3600.0
-        )
-    except ValueError as exc:  # pragma: no cover - argparse choices guard this
-        print(f"determinism gate: {exc}", file=sys.stderr)
-        return 2
-    try:
         # Baked into every config the experiment constructs, so the
         # timeline.* records are gated exactly like any other record.
         obs_timeline.set_default_interval(args.timeline_interval)
     except ValueError as exc:
         print(f"determinism gate: {exc}", file=sys.stderr)
         return 2
+    status = 0
     try:
-        if args.compare_jobs:
-            try:
-                report = run_parallel_gate(experiment, args.compare_jobs)
-            except ValueError as exc:
-                print(f"determinism gate: {exc}", file=sys.stderr)
-                return 2
-        else:
-            report = run_gate(experiment)
+        for name in [args.experiment] if args.experiment else GATE_EXPERIMENTS:
+            experiment = small_variant(
+                name, args.seed, args.scale, args.hours * 3600.0
+            )
+            if args.compare_jobs:
+                try:
+                    report = run_parallel_gate(experiment, args.compare_jobs)
+                except ValueError as exc:
+                    print(f"determinism gate: {exc}", file=sys.stderr)
+                    return 2
+            else:
+                report = run_gate(experiment)
+            print(f"{name}: {report.render()}", flush=True)
+            if report.records_a == 0:
+                print(
+                    f"determinism gate: {name} emitted no trace records; "
+                    "the comparison is vacuous",
+                    file=sys.stderr,
+                )
+                status = 2
+            elif not report.identical:
+                status = max(status, 1)
     finally:
         obs_timeline.set_default_interval(None)
-    print(report.render())
-    if report.records_a == 0:
-        print(
-            "determinism gate: experiment emitted no trace records; "
-            "the comparison is vacuous",
-            file=sys.stderr,
-        )
-        return 2
-    return 0 if report.identical else 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,8 +7,8 @@ section 5 for the paper grounding of each ablation.
 
 Every ablation is a list of independent configurations, so each driver
 accepts ``jobs`` and fans its points out through
-:func:`repro.experiments.sweeps.run_sweep` (or
-:func:`repro.perf.parallel.parallel_map` for custom row shapes).
+:func:`repro.experiments.sweeps.run_sweep` (with its own row builder
+for custom row shapes).
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.experiments.common import LightweightConfig, run_lightweight
+from repro.experiments.common import LightweightConfig
 from repro.experiments.mesos import pathology_preset
-from repro.experiments.sweeps import SweepPoint, point_label, run_sweep
-from repro.perf.parallel import parallel_map
+from repro.experiments.sweeps import SweepPoint, run_sweep
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.clusters import CLUSTER_A, CLUSTER_B
 from repro.workload.job import JobType
@@ -53,7 +52,9 @@ def offer_policy_rows(
     return run_sweep(points, jobs=jobs)
 
 
-def _contention_config(scale: float, horizon: float, **kwargs) -> LightweightConfig:
+def _contention_config(
+    scale: float, horizon: float, seed: int, **kwargs
+) -> LightweightConfig:
     """A conflict-heavy Omega configuration: many schedulers, high load,
     a fairly full cell."""
     preset = dataclasses.replace(
@@ -63,7 +64,7 @@ def _contention_config(scale: float, horizon: float, **kwargs) -> LightweightCon
         preset=preset,
         architecture="omega",
         horizon=horizon,
-        seed=5,
+        seed=seed,
         num_batch_schedulers=16,
         batch_rate_factor=6.0,
         **kwargs,
@@ -71,14 +72,14 @@ def _contention_config(scale: float, horizon: float, **kwargs) -> LightweightCon
 
 
 def retry_position_rows(
-    scale: float = 0.2, horizon: float = 3600.0, jobs: int = 1
+    scale: float = 0.2, horizon: float = 3600.0, seed: int = 5, jobs: int = 1
 ) -> list[dict]:
     """Conflicted-job requeue at the queue head (the paper's immediate
     retry) vs the tail."""
     points: list[SweepPoint] = [
         (
             _contention_config(
-                scale, horizon, retry_conflicts_at_front=retry_at_front
+                scale, horizon, seed, retry_conflicts_at_front=retry_at_front
             ),
             {"retry_position": "head" if retry_at_front else "tail"},
         )
@@ -91,6 +92,7 @@ def initial_utilization_rows(
     fills: Sequence[float] = (0.3, 0.6, 0.8),
     scale: float = 0.2,
     horizon: float = 3600.0,
+    seed: int = 5,
     jobs: int = 1,
 ) -> list[dict]:
     """Conflict fraction vs standing cluster fullness."""
@@ -101,7 +103,7 @@ def initial_utilization_rows(
                 preset=preset,
                 architecture="omega",
                 horizon=horizon,
-                seed=5,
+                seed=seed,
                 num_batch_schedulers=16,
                 batch_rate_factor=6.0,
                 initial_utilization=fill,
@@ -113,12 +115,10 @@ def initial_utilization_rows(
     return run_sweep(points, jobs=jobs)
 
 
-def _preemption_point(point: tuple[bool, LightweightConfig]) -> dict:
-    """Run one preemption on/off point (parallel-worker body)."""
-    enabled, config = point
-    result = run_lightweight(config)
+def preemption_row(sim, result, preemption: str) -> dict:
+    """One preemption on/off row: wait times and what preemption cost."""
     return {
-        "preemption": "on" if enabled else "off",
+        "preemption": preemption,
         "wait_service": result.mean_wait(JobType.SERVICE),
         "wait_batch": result.mean_wait(JobType.BATCH),
         "tasks_preempted": result.preemptions_caused("service"),
@@ -135,9 +135,8 @@ def preemption_rows(
     preset = dataclasses.replace(
         CLUSTER_A.scaled(scale), initial_utilization=0.85
     )
-    points = [
+    points: list[SweepPoint] = [
         (
-            enabled,
             LightweightConfig(
                 preset=preset,
                 architecture="omega",
@@ -145,31 +144,25 @@ def preemption_rows(
                 seed=seed,
                 enable_preemption=enabled,
             ),
+            {"preemption": "on" if enabled else "off"},
         )
         for enabled in (False, True)
     ]
-    return parallel_map(
-        _preemption_point,
-        points,
-        jobs=jobs,
-        labels=[
-            point_label({"preemption": "on" if enabled else "off"})
-            for enabled, _ in points
-        ],
-    )
+    return run_sweep(points, jobs=jobs, row=preemption_row)
 
 
 def placement_strategy_rows(
     strategies: Sequence[str] = ("worst-fit", "random-first-fit", "best-fit"),
     scale: float = 0.2,
     horizon: float = 3600.0,
+    seed: int = 5,
     jobs: int = 1,
 ) -> list[dict]:
     """Placement strategy vs interference (why the paper's hifi
     simulator conflicts more than its lightweight one)."""
     points: list[SweepPoint] = [
         (
-            _contention_config(scale, horizon, placement_strategy=strategy),
+            _contention_config(scale, horizon, seed, placement_strategy=strategy),
             {"placement_strategy": strategy},
         )
         for strategy in strategies
@@ -181,13 +174,14 @@ def backoff_rows(
     cooldowns: Sequence[float] = (0.0, 5.0, 30.0),
     scale: float = 0.2,
     horizon: float = 3600.0,
+    seed: int = 5,
     jobs: int = 1,
 ) -> list[dict]:
     """OCC hot-machine backoff windows (paper §8 future work)."""
     points: list[SweepPoint] = [
         (
             _contention_config(
-                scale, horizon, conflict_avoidance_cooldown=cooldown
+                scale, horizon, seed, conflict_avoidance_cooldown=cooldown
             ),
             {"cooldown_s": cooldown},
         )

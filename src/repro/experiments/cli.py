@@ -8,7 +8,11 @@ Examples::
 
 Every command prints the same rows the corresponding benchmark emits;
 ``--scale`` shrinks the cell (and arrival rates with it), ``--hours``
-sets the simulated horizon.
+sets the simulated horizon. Each experiment command is one entry of
+:data:`COMMANDS`: its driver, help, options, plot and small variant.
+The subcommands, ``--jobs``/checkpoint support, the checkpoint manifest
+and ``--output`` parameters, ``--plot`` and ``--smoke``, and the
+determinism gate's experiments all come from that table.
 
 Observability (see ``docs/OBSERVABILITY.md``): every command accepts
 ``--trace FILE`` to record a structured JSONL trace of the run,
@@ -45,9 +49,11 @@ retried and surface as ``recovery.*`` trace events.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from repro import obs
 from repro.analysis import cli as lint
@@ -75,342 +81,409 @@ from repro.recovery import (
     SupervisorPolicy,
     activate,
 )
+from repro.workload.validation import validate_all
 
 
-def _scaled_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {
-        "horizon": args.hours * 3600.0,
-        "seed": args.seed,
-        "scale": args.scale,
-    }
-    if args.command in JOBS_COMMANDS:
-        kwargs["jobs"] = args.jobs
-    return kwargs
+#: The small variant's cell scale and horizon: what ``--smoke`` runs,
+#: and the determinism gate's defaults.
+SMOKE_SCALE = 0.05
+SMOKE_HOURS = 0.5
 
 
-def _cmd_fig2(args) -> list[dict]:
-    return workload_char.figure2_rows(samples=args.samples, seed=args.seed)
+class Plot(NamedTuple):
+    """The ``--plot`` chart of a command's headline series."""
+
+    series: str | None  # column naming the series; None: one series
+    x: str
+    y: str
+    log_x: bool
+    log_y: bool
+    title: str
 
 
-def _cmd_fig3(args) -> list[dict]:
-    return workload_char.figure3_rows(samples=args.samples, seed=args.seed)
+@dataclass(frozen=True)
+class Option:
+    """A command-specific option.
 
+    ``default`` picks the kind: ``False`` is a flag; a tuple is a
+    comma-separated list whose parts parse as the tuple's element type;
+    anything else is a scalar of that type. The parsed value reaches
+    the driver as ``kwarg`` (default: the option's dest) when the
+    driver takes it.
+    """
 
-def _cmd_fig4(args) -> list[dict]:
-    return workload_char.figure4_rows(samples=args.samples, seed=args.seed)
+    flag: str
+    help: str
+    default: Any = False
+    kwarg: str | None = None
+    choices: tuple[str, ...] | None = None
+    #: Record the flag in run parameters only when it is set, so
+    #: checkpoints written before the flag existed still resume.
+    recorded_when_set: bool = False
+    #: A flag that runs this experiment instead of the command's own.
+    runs: Experiment | None = None
 
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
-def _cmd_fig5a(args) -> list[dict]:
-    return monolithic.figure5a_6a_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig5b(args) -> list[dict]:
-    return monolithic.figure5b_6b_rows(**_scaled_kwargs(args))
-
-
-def _cmd_partitioned(args) -> list[dict]:
-    return monolithic.partitioned_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig7(args) -> list[dict]:
-    return mesos.figure7_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig5c(args) -> list[dict]:
-    return omega_experiments.figure5c_6c_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig8(args) -> list[dict]:
-    rows = omega_experiments.figure8_rows(**_scaled_kwargs(args))
-    points = omega_experiments.figure8_saturation_points(rows)
-    print(f"saturation points (relative lambda_batch): {points}", file=sys.stderr)
-    return rows
-
-
-def _cmd_fig9(args) -> list[dict]:
-    return omega_experiments.figure9_rows(**_scaled_kwargs(args))
-
-
-def _cmd_omega(args) -> list[dict]:
-    return omega_experiments.single_run_rows(
-        cluster=args.cluster,
-        rate_factor=args.rate_factor,
-        smoke=args.smoke,
-        predictor=args.predictor,
-        **_scaled_kwargs(args),
-    )
-
-
-def _cmd_fig10(args) -> list[dict]:
-    return sweep3d.figure10_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig11(args) -> list[dict]:
-    return hifi_perf.figure11_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig12(args) -> list[dict]:
-    return hifi_perf.figure12_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig13(args) -> list[dict]:
-    rows = hifi_perf.figure13_rows(**_scaled_kwargs(args))
-    shift = hifi_perf.figure13_saturation_shift(rows)
-    print(f"saturation shift: {shift}", file=sys.stderr)
-    return rows
-
-
-def _cmd_fig14(args) -> list[dict]:
-    return conflict_modes.figure14_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig15(args) -> list[dict]:
-    return mapreduce_experiments.figure15_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig16(args) -> list[dict]:
-    return mapreduce_experiments.figure16_rows(
-        cluster="C", **_scaled_kwargs(args)
-    )
-
-
-def _cmd_ablation_offer(args) -> list[dict]:
-    return ablations.offer_policy_rows(
-        horizon=args.hours * 3600.0, seed=args.seed, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_retry(args) -> list[dict]:
-    return ablations.retry_position_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_util(args) -> list[dict]:
-    return ablations.initial_utilization_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_preemption(args) -> list[dict]:
-    return ablations.preemption_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, seed=args.seed,
-        jobs=args.jobs,
-    )
-
-
-def _cmd_ablation_backoff(args) -> list[dict]:
-    return ablations.backoff_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_placement(args) -> list[dict]:
-    return ablations.placement_strategy_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_resilience(args) -> list[dict]:
-    if args.smoke:
-        return resilience_experiments.resilience_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return resilience_experiments.resilience_rows(
-        intensities=intensities,
-        policy=args.policy,
-        predictor=args.predictor,
-        **_scaled_kwargs(args),
-    )
-
-
-def _cmd_conflict_avoidance(args) -> list[dict]:
-    if args.smoke:
-        return conflict_avoidance_experiments.conflict_avoidance_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    factors = tuple(float(value) for value in args.factors.split(","))
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return conflict_avoidance_experiments.conflict_avoidance_rows(
-        factors=factors, intensities=intensities, **_scaled_kwargs(args)
-    )
-
-
-def _cmd_federation(args) -> list[dict]:
-    if args.degenerate_gate:
-        federated, single = federation_experiments.degenerate_rows(
-            seed=args.seed,
-            scale=args.scale,
-            horizon=args.hours * 3600.0,
-            jobs=args.jobs,
-        )
-        columns = federation_experiments.SHARED_COLUMNS
-        if format_table(federated, columns) != format_table(single, columns):
-            print(
-                "omega-sim federation: degenerate-baseline gate FAILED — "
-                "the 1-cell zero-staleness zero-intensity federation table "
-                "differs from the single-cell omega table",
-                file=sys.stderr,
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.default is False:
+            parser.add_argument(self.flag, action="store_true", help=self.help)
+        elif isinstance(self.default, tuple):
+            parser.add_argument(
+                self.flag, default=",".join(map(str, self.default)), help=self.help
             )
-            print(format_table(federated, columns), file=sys.stderr)
-            print(format_table(single, columns), file=sys.stderr)
-            raise SystemExit(1)
-        print(
-            "federation: degenerate-baseline gate OK (1-cell federation is "
-            "byte-identical to the single-cell omega baseline)",
-            file=sys.stderr,
-        )
-        return federated
-    if args.smoke:
-        return federation_experiments.federation_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    cells = tuple(int(value) for value in args.cells.split(","))
-    staleness = tuple(float(value) for value in args.staleness.split(","))
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return federation_experiments.federation_rows(
-        cells=cells,
-        staleness_values=staleness,
-        intensities=intensities,
-        policy=args.policy,
-        **_scaled_kwargs(args),
-    )
+        else:
+            parser.add_argument(
+                self.flag,
+                type=type(self.default),
+                default=self.default,
+                choices=self.choices,
+                help=self.help,
+            )
+
+    def value(self, args: argparse.Namespace) -> Any:
+        value = getattr(args, self.dest)
+        if isinstance(self.default, tuple):
+            part_type = type(self.default[0])
+            return tuple(part_type(part) for part in value.split(","))
+        return value
 
 
-def _cmd_validate(args) -> list[dict]:
-    from repro.workload.validation import validate_all
+@dataclass(frozen=True)
+class Experiment:
+    """One ``omega-sim`` command: its driver and everything the CLI,
+    the checkpoint manifest and the determinism gate derive from it."""
 
-    return [report.as_row() for report in validate_all()]
+    driver: Callable[..., list[dict]]
+    help: str = ""
+    options: tuple[Option, ...] = ()
+    plot: Plot | None = None
+    #: Driver keywords of the small variant, run by ``--smoke`` (at
+    #: SMOKE_SCALE/SMOKE_HOURS) and by the determinism gate; None
+    #: leaves the command out of the gate.
+    small: dict | None = None
+    #: A one-line summary of the rows, printed to stderr.
+    note: Callable[[list[dict]], str] | None = None
+
+    @property
+    def parameters(self) -> frozenset[str]:
+        return frozenset(inspect.signature(self.driver).parameters)
+
+    @property
+    def parallel(self) -> bool:
+        """Whether sweep points fan out with ``--jobs N`` (and so
+        checkpoint): exactly the drivers that take ``jobs``."""
+        return "jobs" in self.parameters
+
+    def run(self, **values) -> list[dict]:
+        """Call the driver with the ``values`` it takes."""
+        taken = self.parameters
+        return self.driver(**{k: v for k, v in values.items() if k in taken})
 
 
-def _cmd_table1(args) -> list[dict]:
-    return tables.table1_rows()
-
-
-def _cmd_table2(args) -> list[dict]:
-    return tables.table2_rows()
-
-
-COMMANDS: dict[str, tuple[Callable, str]] = {
-    "fig2": (_cmd_fig2, "workload shares: jobs/tasks/CPU/RAM, batch vs service"),
-    "fig3": (_cmd_fig3, "CDFs of job runtime and inter-arrival time"),
-    "fig4": (_cmd_fig4, "CDF of tasks per job"),
-    "fig5a": (_cmd_fig5a, "monolithic single-path: wait time & busyness sweep"),
-    "fig5b": (_cmd_fig5b, "monolithic multi-path: wait time & busyness sweep"),
-    "fig5c": (_cmd_fig5c, "shared-state Omega: wait time & busyness sweep"),
-    "partitioned": (_cmd_partitioned, "statically partitioned scheduler sweep"),
-    "fig7": (_cmd_fig7, "two-level (Mesos): wait, busyness, abandoned jobs"),
-    "fig8": (_cmd_fig8, "Omega: scaling the batch arrival rate"),
-    "fig9": (_cmd_fig9, "Omega: 1-32 load-balanced batch schedulers"),
-    "omega": (_cmd_omega, "one Omega run at a single operating point "
-              "(pairs with --trace/--timeline-interval)"),
-    "fig10": (_cmd_fig10, "busyness surfaces for all five schemes"),
-    "fig11": (_cmd_fig11, "hifi: service busyness over t_job x t_task (C)"),
-    "fig12": (_cmd_fig12, "hifi: cluster B sweep w/ conflict fraction"),
-    "fig13": (_cmd_fig13, "hifi: 3 batch schedulers vs 1 (cluster C)"),
-    "fig14": (_cmd_fig14, "conflict detection/commit granularity choices"),
-    "fig15": (_cmd_fig15, "MapReduce speedup CDFs per policy"),
-    "fig16": (_cmd_fig16, "utilization time series, normal vs max-parallel"),
-    "table1": (_cmd_table1, "comparison of scheduling approaches"),
-    "table2": (_cmd_table2, "lightweight vs high-fidelity simulator"),
-    "ablation-offer": (_cmd_ablation_offer, "Mesos offer-all vs fair-share offers"),
-    "ablation-retry": (_cmd_ablation_retry, "conflict retry at queue head vs tail"),
-    "ablation-util": (_cmd_ablation_util, "conflict fraction vs standing utilization"),
-    "ablation-preemption": (_cmd_ablation_preemption, "priority preemption on vs off"),
-    "ablation-backoff": (_cmd_ablation_backoff, "OCC hot-machine backoff windows"),
-    "ablation-placement": (
-        _cmd_ablation_placement,
-        "placement strategy vs conflict fraction",
+COMMANDS: dict[str, Experiment] = {
+    "fig2": Experiment(
+        workload_char.figure2_rows,
+        "workload shares: jobs/tasks/CPU/RAM, batch vs service",
     ),
-    "resilience": (
-        _cmd_resilience,
+    "fig3": Experiment(
+        workload_char.figure3_rows, "CDFs of job runtime and inter-arrival time"
+    ),
+    "fig4": Experiment(workload_char.figure4_rows, "CDF of tasks per job"),
+    "fig5a": Experiment(
+        monolithic.figure5a_6a_rows,
+        "monolithic single-path: wait time & busyness sweep",
+        plot=Plot("cluster", "t_job_service", "wait_batch", True, True,
+                  "Figure 5a: mean batch wait vs t_job (single-path)"),
+    ),
+    "fig5b": Experiment(
+        monolithic.figure5b_6b_rows,
+        "monolithic multi-path: wait time & busyness sweep",
+        plot=Plot("cluster", "t_job_service", "wait_batch", True, True,
+                  "Figure 5b: mean batch wait vs t_job(service) (multi-path)"),
+    ),
+    "fig5c": Experiment(
+        omega_experiments.figure5c_6c_rows,
+        "shared-state Omega: wait time & busyness sweep",
+        plot=Plot("cluster", "t_job_service", "wait_batch", True, True,
+                  "Figure 5c: mean batch wait vs t_job(service) (shared state)"),
+        small=dict(t_jobs=(1.0,)),
+    ),
+    "partitioned": Experiment(
+        monolithic.partitioned_rows, "statically partitioned scheduler sweep"
+    ),
+    "fig7": Experiment(
+        mesos.figure7_rows,
+        "two-level (Mesos): wait, busyness, abandoned jobs",
+        plot=Plot("cluster", "t_job_service", "busy_batch", True, False,
+                  "Figure 7b: batch framework busyness vs t_job(service) (Mesos)"),
+    ),
+    "fig8": Experiment(
+        omega_experiments.figure8_rows,
+        "Omega: scaling the batch arrival rate",
+        plot=Plot("cluster", "rate_factor", "busy_batch", False, False,
+                  "Figure 8b: batch busyness vs relative lambda(batch)"),
+        small=dict(factors=(1.0, 4.0)),
+        note=lambda rows: "saturation points (relative lambda_batch): "
+        f"{omega_experiments.figure8_saturation_points(rows)}",
+    ),
+    "fig9": Experiment(
+        omega_experiments.figure9_rows,
+        "Omega: 1-32 load-balanced batch schedulers",
+        plot=Plot("num_batch_schedulers", "rate_factor", "conflict_batch",
+                  False, False,
+                  "Figure 9a: conflict fraction vs relative lambda(batch)"),
+    ),
+    "omega": Experiment(
+        omega_experiments.single_run_rows,
+        "one Omega run at a single operating point "
+        "(pairs with --trace/--timeline-interval)",
+        options=(
+            Option("--cluster", "cluster preset letter (default B)", "B"),
+            Option("--rate-factor", "relative batch arrival-rate multiplier", 1.0),
+            Option(
+                "--smoke",
+                "CI smoke variant: 5%% cell, 30 simulated minutes "
+                "(ignores --scale/--hours)",
+            ),
+            Option(
+                "--predictor",
+                "enable predictive conflict avoidance: contention-aware "
+                "placement steering plus the predictive escalation retry "
+                "policy (see docs/RESILIENCE.md)",
+                recorded_when_set=True,
+            ),
+        ),
+        small={},
+    ),
+    "fig10": Experiment(
+        sweep3d.figure10_rows, "busyness surfaces for all five schemes"
+    ),
+    "fig11": Experiment(
+        hifi_perf.figure11_rows, "hifi: service busyness over t_job x t_task (C)"
+    ),
+    "fig12": Experiment(
+        hifi_perf.figure12_rows,
+        "hifi: cluster B sweep w/ conflict fraction",
+        plot=Plot(None, "t_job_service", "conflict_service", True, False,
+                  "Figure 12b: service conflict fraction vs t_job(service)"),
+    ),
+    "fig13": Experiment(
+        hifi_perf.figure13_rows,
+        "hifi: 3 batch schedulers vs 1 (cluster C)",
+        note=lambda rows: "saturation shift: "
+        f"{hifi_perf.figure13_saturation_shift(rows)}",
+    ),
+    "fig14": Experiment(
+        conflict_modes.figure14_rows,
+        "conflict detection/commit granularity choices",
+        plot=Plot("mode", "t_job_service", "conflict_service", True, True,
+                  "Figure 14a: conflict fraction by detection/commit mode"),
+        small={},
+    ),
+    "fig15": Experiment(
+        mapreduce_experiments.figure15_rows, "MapReduce speedup CDFs per policy"
+    ),
+    "fig16": Experiment(
+        mapreduce_experiments.figure16_rows,
+        "utilization time series, normal vs max-parallel",
+    ),
+    "table1": Experiment(tables.table1_rows, "comparison of scheduling approaches"),
+    "table2": Experiment(tables.table2_rows, "lightweight vs high-fidelity simulator"),
+    "ablation-offer": Experiment(
+        ablations.offer_policy_rows, "Mesos offer-all vs fair-share offers"
+    ),
+    "ablation-retry": Experiment(
+        ablations.retry_position_rows, "conflict retry at queue head vs tail"
+    ),
+    "ablation-util": Experiment(
+        ablations.initial_utilization_rows,
+        "conflict fraction vs standing utilization",
+        plot=Plot(None, "initial_utilization", "conflict_batch", False, False,
+                  "Conflict fraction vs standing utilization"),
+    ),
+    "ablation-preemption": Experiment(
+        ablations.preemption_rows, "priority preemption on vs off"
+    ),
+    "ablation-backoff": Experiment(
+        ablations.backoff_rows,
+        "OCC hot-machine backoff windows",
+        plot=Plot(None, "cooldown_s", "conflict_batch", False, False,
+                  "Conflict fraction vs hot-machine backoff window"),
+    ),
+    "ablation-placement": Experiment(
+        ablations.placement_strategy_rows, "placement strategy vs conflict fraction"
+    ),
+    "resilience": Experiment(
+        resilience_experiments.resilience_rows,
         "fault-injected degradation: architecture x fault intensity",
+        options=(
+            Option(
+                "--intensities",
+                "comma-separated fault-intensity multipliers "
+                "(0 = fault-free baseline)",
+                resilience_experiments.DEFAULT_INTENSITIES,
+            ),
+            Option(
+                "--policy",
+                "Omega conflict-retry policy (immediate reproduces the "
+                "historical behavior; see docs/RESILIENCE.md)",
+                "immediate",
+                choices=RETRY_POLICIES,
+            ),
+            Option(
+                "--smoke",
+                "CI smoke variant: tiny cell, short horizon, two "
+                "intensities, starvation-escalation policy",
+            ),
+            Option(
+                "--predictor",
+                "also steer placement with a conflict predictor "
+                "(independent of --policy; --policy predictive implies it)",
+                recorded_when_set=True,
+            ),
+        ),
+        plot=Plot("architecture", "intensity", "wait_batch", False, False,
+                  "Resilience: mean batch wait vs fault intensity"),
+        small=dict(intensities=(0.0, 5.0), policy="starvation"),
     ),
-    "conflict-avoidance": (
-        _cmd_conflict_avoidance,
+    "conflict-avoidance": Experiment(
+        conflict_avoidance_experiments.conflict_avoidance_rows,
         "predictive conflict avoidance: predictor on/off x operating "
         "point x fault intensity",
+        options=(
+            Option(
+                "--factors",
+                "comma-separated relative batch arrival-rate factors "
+                "(Figure-8 operating points)",
+                conflict_avoidance_experiments.DEFAULT_FACTORS,
+            ),
+            Option(
+                "--intensities",
+                "comma-separated fault-intensity multipliers over the "
+                "resilience baseline mix (0 = fault-free)",
+                conflict_avoidance_experiments.DEFAULT_INTENSITIES,
+            ),
+            Option(
+                "--smoke",
+                "CI smoke variant: tiny cell, short horizon, one "
+                "operating point, predictor on and off",
+            ),
+        ),
+        small=dict(factors=(4.0,), intensities=(0.0, 5.0)),
     ),
-    "federation": (
-        _cmd_federation,
+    "federation": Experiment(
+        federation_experiments.federation_rows,
         "federated multi-cell Omega: cell count x aggregate staleness x "
         "cell-fault intensity (blackouts, feed partitions, link flaps)",
+        options=(
+            Option(
+                "--cells",
+                "comma-separated federation sizes (member cells)",
+                federation_experiments.DEFAULT_CELL_COUNTS,
+            ),
+            Option(
+                "--staleness",
+                "comma-separated aggregate-view staleness intervals in "
+                "simulated seconds (0 = the router reads live digests)",
+                federation_experiments.DEFAULT_STALENESS,
+                kwarg="staleness_values",
+            ),
+            Option(
+                "--intensities",
+                "comma-separated cell-fault intensity multipliers over "
+                "the federation baseline mix (0 = fault-free)",
+                federation_experiments.DEFAULT_INTENSITIES,
+            ),
+            Option(
+                "--policy",
+                "front-door routing policy (see docs/FEDERATION.md)",
+                "least-loaded",
+                choices=federation_experiments.ROUTING_POLICIES,
+            ),
+            Option(
+                "--smoke",
+                "CI smoke variant: tiny cells, short horizon, 1-2 "
+                "cells, fault-free and hostile intensities",
+            ),
+            Option(
+                "--degenerate-gate",
+                "run the degenerate-baseline gate instead of the "
+                "sweep: a 1-cell/zero-staleness/zero-fault federation "
+                "must reproduce the single-cell omega table "
+                "byte-for-byte (exit 1 on any difference)",
+                runs=Experiment(
+                    federation_experiments.degenerate_gate_rows,
+                    note=lambda rows: "federation: degenerate-baseline gate "
+                    "OK (1-cell federation is byte-identical to the "
+                    "single-cell omega baseline)",
+                ),
+            ),
+        ),
+        plot=Plot("cells", "intensity", "wait_batch", False, False,
+                  "Federation: mean batch wait vs cell-fault intensity"),
+        small=dict(
+            cells=(1, 2), staleness_values=(0.0, 120.0), intensities=(0.0, 5.0)
+        ),
     ),
-    "validate": (_cmd_validate, "sanity-check the cluster presets"),
+    "validate": Experiment(
+        lambda: [report.as_row() for report in validate_all()],
+        "sanity-check the cluster presets",
+    ),
 }
 
-#: Commands whose sweep points fan out across worker processes with
-#: --jobs N (see repro.perf.parallel); the rest run serially and say so.
-JOBS_COMMANDS = frozenset(
-    {
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "partitioned",
-        "fig7",
-        "fig8",
-        "fig9",
-        "omega",
-        "fig10",
-        "fig14",
-        "ablation-offer",
-        "ablation-retry",
-        "ablation-util",
-        "ablation-preemption",
-        "ablation-backoff",
-        "ablation-placement",
-        "resilience",
-        "conflict-avoidance",
-        "federation",
-    }
+#: The determinism gate's experiments: every command with a small
+#: variant, in registry order.
+GATE_EXPERIMENTS = tuple(
+    name for name, entry in COMMANDS.items() if entry.small is not None
 )
 
 
-#: Commands that can render an ASCII chart with --plot:
-#: command -> (series-key column, x column, y column, log_x, log_y, title).
-PLOTS = {
-    "fig5a": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5a: mean batch wait vs t_job (single-path)"),
-    "fig5b": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5b: mean batch wait vs t_job(service) (multi-path)"),
-    "fig5c": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5c: mean batch wait vs t_job(service) (shared state)"),
-    "fig7": ("cluster", "t_job_service", "busy_batch", True, False,
-             "Figure 7b: batch framework busyness vs t_job(service) (Mesos)"),
-    "fig8": ("cluster", "rate_factor", "busy_batch", False, False,
-             "Figure 8b: batch busyness vs relative lambda(batch)"),
-    "fig9": ("num_batch_schedulers", "rate_factor", "conflict_batch", False, False,
-             "Figure 9a: conflict fraction vs relative lambda(batch)"),
-    "fig12": (None, "t_job_service", "conflict_service", True, False,
-              "Figure 12b: service conflict fraction vs t_job(service)"),
-    "fig14": ("mode", "t_job_service", "conflict_service", True, True,
-              "Figure 14a: conflict fraction by detection/commit mode"),
-    "ablation-util": (None, "initial_utilization", "conflict_batch", False, False,
-                      "Conflict fraction vs standing utilization"),
-    "ablation-backoff": (None, "cooldown_s", "conflict_batch", False, False,
-                         "Conflict fraction vs hot-machine backoff window"),
-    "resilience": ("architecture", "intensity", "wait_batch", False, False,
-                   "Resilience: mean batch wait vs fault intensity"),
-    "federation": ("cells", "intensity", "wait_batch", False, False,
-                   "Federation: mean batch wait vs cell-fault intensity"),
-}
+def small_variant(
+    name: str, seed: int, scale: float, horizon: float
+) -> Callable[..., list[dict]]:
+    """The command's small variant as a self-seeding experiment taking
+    the worker count (the determinism gate's subject)."""
+    entry = COMMANDS[name]
+    return lambda jobs=1: entry.run(
+        seed=seed, scale=scale, horizon=horizon, jobs=jobs, **entry.small
+    )
+
+
+def _driver_values(entry: Experiment, args: argparse.Namespace) -> dict:
+    """Every value the command line offers a driver, by keyword."""
+    values = {
+        "scale": args.scale,
+        "horizon": args.hours * 3600.0,
+        "seed": args.seed,
+        "samples": args.samples,
+        "jobs": args.jobs,
+    }
+    for option in entry.options:
+        values[option.kwarg or option.dest] = option.value(args)
+    if getattr(args, "smoke", False):
+        values.update(
+            entry.small, scale=SMOKE_SCALE, horizon=SMOKE_HOURS * 3600.0
+        )
+    return values
 
 
 def render_plot(command: str, rows: list[dict]) -> str | None:
     """Build the --plot chart for a command from its result rows."""
-    spec = PLOTS.get(command)
+    entry = COMMANDS.get(command)
+    spec = entry.plot if entry is not None else None
     if spec is None or not rows:
         return None
-    key_column, x_column, y_column, log_x, log_y, title = spec
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
-        label = str(row[key_column]) if key_column else y_column
-        series.setdefault(label, []).append((row[x_column], row[y_column]))
+        label = str(row[spec.series]) if spec.series else spec.y
+        series.setdefault(label, []).append((row[spec.x], row[spec.y]))
     try:
         return line_chart(
-            series, title=title, x_label=x_column, y_label=y_column,
-            log_x=log_x, log_y=log_y,
+            series, title=spec.title, x_label=spec.x, y_label=spec.y,
+            log_x=spec.log_x, log_y=spec.log_y,
         )
     except ValueError:
         return None  # e.g. every y was 0 on a log axis
@@ -423,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(EuroSys 2013) from the reproduction simulators.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, entry in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=entry.help)
         sub.add_argument(
             "--scale",
             type=float,
@@ -489,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
             "foreign-snapshot-write, or non-serializable commit "
             "(see docs/STATIC_ANALYSIS.md)",
         )
-        if name in JOBS_COMMANDS:
+        if entry.parallel:
             sub.add_argument(
                 "--checkpoint",
                 metavar="DIR",
@@ -521,133 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "points lost to worker crashes or timeouts "
                 f"(default {DEFAULT_POLICY.max_attempts})",
             )
-        if name == "omega":
-            sub.add_argument(
-                "--cluster",
-                default="B",
-                help="cluster preset letter (default B)",
-            )
-            sub.add_argument(
-                "--rate-factor",
-                type=float,
-                default=1.0,
-                help="relative batch arrival-rate multiplier",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: 5%% cell, 30 simulated minutes "
-                "(ignores --scale/--hours)",
-            )
-            sub.add_argument(
-                "--predictor",
-                action="store_true",
-                help="enable predictive conflict avoidance: contention-"
-                "aware placement steering plus the predictive "
-                "escalation retry policy (see docs/RESILIENCE.md)",
-            )
-        if name == "resilience":
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in resilience_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated fault-intensity multipliers "
-                "(0 = fault-free baseline)",
-            )
-            sub.add_argument(
-                "--policy",
-                choices=RETRY_POLICIES,
-                default="immediate",
-                help="Omega conflict-retry policy (immediate reproduces the "
-                "historical behavior; see docs/RESILIENCE.md)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cell, short horizon, two "
-                "intensities, starvation-escalation policy",
-            )
-            sub.add_argument(
-                "--predictor",
-                action="store_true",
-                help="also steer placement with a conflict predictor "
-                "(independent of --policy; --policy predictive implies "
-                "it)",
-            )
-        if name == "federation":
-            sub.add_argument(
-                "--cells",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_CELL_COUNTS
-                ),
-                help="comma-separated federation sizes (member cells)",
-            )
-            sub.add_argument(
-                "--staleness",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_STALENESS
-                ),
-                help="comma-separated aggregate-view staleness intervals in "
-                "simulated seconds (0 = the router reads live digests)",
-            )
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated cell-fault intensity multipliers over "
-                "the federation baseline mix (0 = fault-free)",
-            )
-            sub.add_argument(
-                "--policy",
-                choices=federation_experiments.ROUTING_POLICIES,
-                default="least-loaded",
-                help="front-door routing policy (see docs/FEDERATION.md)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cells, short horizon, 1-2 "
-                "cells, fault-free and hostile intensities",
-            )
-            sub.add_argument(
-                "--degenerate-gate",
-                action="store_true",
-                help="run the degenerate-baseline gate instead of the "
-                "sweep: a 1-cell/zero-staleness/zero-fault federation "
-                "must reproduce the single-cell omega table "
-                "byte-for-byte (exit 1 on any difference)",
-            )
-        if name == "conflict-avoidance":
-            sub.add_argument(
-                "--factors",
-                default=",".join(
-                    str(value)
-                    for value in conflict_avoidance_experiments.DEFAULT_FACTORS
-                ),
-                help="comma-separated relative batch arrival-rate factors "
-                "(Figure-8 operating points)",
-            )
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in conflict_avoidance_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated fault-intensity multipliers over the "
-                "resilience baseline mix (0 = fault-free)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cell, short horizon, one "
-                "operating point, predictor on and off",
-            )
+        for option in entry.options:
+            option.add_to(sub)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -661,13 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the curated performance benchmarks and regression gate "
         "(snapshot resync, placement packing, batched commit, paper-scale "
-        "sweep, event-loop throughput, serial-vs-parallel sweep; see "
-        "docs/PERFORMANCE.md)",
+        "sweep, tracing/sanitizer/predictor/federation hook overheads, "
+        "serial-vs-parallel sweep; see docs/PERFORMANCE.md)",
     )
     bench_parser.add_argument(
         "--smoke",
         action="store_true",
-        help="seconds-scale sizes; timing floors are reported, not enforced",
+        help="seconds-scale sizes; floors enforced always still gate "
+        "(some at a lower smoke floor), full-run floors are reported only",
     )
     bench_parser.add_argument(
         "--jobs",
@@ -759,7 +708,7 @@ def _verbose_stats_table() -> str:
     return format_table(rows)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _summarize_trace(args: argparse.Namespace) -> int:
     try:
         summary = obs.summarize_file(args.file)
         if args.json:
@@ -783,7 +732,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perfetto(args: argparse.Namespace) -> int:
+def _export_perfetto(args: argparse.Namespace) -> int:
     from repro.obs.perfetto import export_file
 
     output = args.output or f"{args.file}.perfetto.json"
@@ -800,7 +749,7 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _render_report(args: argparse.Namespace) -> int:
     from repro.obs.report import write_report
 
     try:
@@ -817,45 +766,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _manifest_parameters(args: argparse.Namespace) -> dict:
-    """The result-determining parameters recorded in a run manifest.
+    """The result-determining parameters of a run, as a checkpoint
+    manifest records them (the ``--output`` envelope adds the seed).
 
     ``--jobs`` is deliberately absent: parallelism does not change the
     rows, so a sweep checkpointed with ``--jobs 8`` may resume serially.
     """
+    entry = COMMANDS[args.command]
     parameters = {
         "scale": args.scale,
         "hours": args.hours,
     }
+    if "samples" in entry.parameters:
+        parameters["samples"] = args.samples
     # Only recorded when set: sampling changes the trace, so a resume
     # must match, but older checkpoints (no such key) stay resumable.
-    if getattr(args, "timeline_interval", None) is not None:
+    if args.timeline_interval is not None:
         parameters["timeline_interval"] = args.timeline_interval
-    if args.command == "omega":
-        parameters["cluster"] = args.cluster
-        parameters["rate_factor"] = args.rate_factor
-        parameters["smoke"] = bool(args.smoke)
-        # Only recorded when on, so pre-predictor checkpoints resume.
-        if getattr(args, "predictor", False):
-            parameters["predictor"] = True
-    if args.command == "resilience":
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["policy"] = getattr(args, "policy", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-        if getattr(args, "predictor", False):
-            parameters["predictor"] = True
-    if args.command == "conflict-avoidance":
-        parameters["factors"] = getattr(args, "factors", "")
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-    if args.command == "federation":
-        parameters["cells"] = getattr(args, "cells", "")
-        parameters["staleness"] = getattr(args, "staleness", "")
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["policy"] = getattr(args, "policy", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-        parameters["degenerate_gate"] = bool(
-            getattr(args, "degenerate_gate", False)
-        )
+    for option in entry.options:
+        value = getattr(args, option.dest)
+        if option.default is False:
+            value = bool(value)
+        if value or not option.recorded_when_set:
+            parameters[option.dest] = value
     return parameters
 
 
@@ -912,17 +845,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "lint":
         return lint.run_lint(args)
     if args.command == "trace":
-        return _cmd_trace(args)
+        return _summarize_trace(args)
     if args.command == "perfetto":
-        return _cmd_perfetto(args)
+        return _export_perfetto(args)
     if args.command == "report":
-        return _cmd_report(args)
+        return _render_report(args)
     if args.command == "bench":
         from repro.perf.bench import main_bench
 
         return main_bench(args)
-    command, _ = COMMANDS[args.command]
-    timeline_interval = getattr(args, "timeline_interval", None)
+    entry = COMMANDS[args.command]
+    # A set mode flag (--degenerate-gate) swaps in its own experiment.
+    experiment = next(
+        (
+            option.runs
+            for option in entry.options
+            if option.runs is not None and getattr(args, option.dest)
+        ),
+        entry,
+    )
+    timeline_interval = args.timeline_interval
     if timeline_interval is not None:
         try:
             # Process-wide default: every LightweightConfig the command
@@ -931,9 +873,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"omega-sim: {exc}", file=sys.stderr)
             return 2
-    if getattr(args, "jobs", 1) != 1:
+    if args.jobs != 1:
         args.jobs = resolve_jobs(args.jobs)
-        if args.command not in JOBS_COMMANDS:
+        if not entry.parallel:
             print(
                 f"omega-sim: {args.command} does not support --jobs; "
                 "running serially",
@@ -946,7 +888,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
 
-    sanitizing = bool(getattr(args, "sanitize", False))
+    sanitizing = args.sanitize
     saved_san_env = None
     if sanitizing:
         # The env var rides into --jobs N worker processes, which build
@@ -956,7 +898,7 @@ def main(argv: list[str] | None = None) -> int:
         _san.install()
 
     recorder = None
-    if getattr(args, "trace", None):
+    if args.trace:
         try:
             recorder = obs.TraceRecorder(path=args.trace, keep_records=False)
         except OSError as exc:
@@ -964,15 +906,18 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         obs.set_recorder(recorder)
     try:
+        values = _driver_values(entry, args)
         if context is not None:
             with activate(context):
-                rows = command(args)
+                rows = experiment.run(**values)
         else:
-            rows = command(args)
+            rows = experiment.run(**values)
+        if experiment.note is not None:
+            print(experiment.note(rows), file=sys.stderr)
     except RecoveryError as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
-    except PointFailure as exc:
+    except (PointFailure, federation_experiments.DegenerateGateFailure) as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 1
     except _san.IsolationViolation as exc:
@@ -1013,23 +958,19 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     print(format_table(rows))
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print()
         print("simulator statistics:")
         print(_verbose_stats_table())
-    if getattr(args, "output", None):
+    if args.output:
         saved = save_rows(
             rows,
             args.output,
             experiment=args.command,
-            parameters={
-                "scale": args.scale,
-                "hours": args.hours,
-                "seed": args.seed,
-            },
+            parameters={**_manifest_parameters(args), "seed": args.seed},
         )
         print(f"rows saved to {saved}", file=sys.stderr)
-    if getattr(args, "plot", False):
+    if args.plot:
         chart = render_plot(args.command, rows)
         if chart is None:
             print(f"(no chart available for {args.command})", file=sys.stderr)

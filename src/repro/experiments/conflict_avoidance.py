@@ -38,12 +38,11 @@ from repro.experiments.resilience import BASELINE_FAULTS
 from repro.experiments.sweeps import (
     SweepPoint,
     batch_load_points,
-    point_label,
     result_row,
+    run_sweep,
 )
 from repro.faults import FaultConfig
 from repro.faults.retry import RetryPolicyConfig
-from repro.perf.parallel import parallel_map
 
 #: Figure-8 operating points (relative lambda(batch)) swept by default:
 #: one around cluster B's knee and one past it, where section 3.6 says
@@ -79,15 +78,6 @@ def conflict_avoidance_row(
         invariant_checks=(checker.checks_run if checker is not None else 0),
     )
     return row
-
-
-def _conflict_avoidance_point(point: SweepPoint) -> dict:
-    """Run one (predictor, factor, intensity) point (worker body)."""
-    config, extra = point
-    sim = LightweightSimulation(config)
-    result = sim.run()
-    sim.check_invariants()
-    return conflict_avoidance_row(sim, result, **extra)
 
 
 def conflict_avoidance_points(
@@ -174,24 +164,5 @@ def conflict_avoidance_rows(
         seed=seed,
         faults=faults,
     )
-    rows = parallel_map(
-        _conflict_avoidance_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-    return attach_deltas(rows)
+    return attach_deltas(run_sweep(points, jobs=jobs, row=conflict_avoidance_row))
 
-
-def conflict_avoidance_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cell, short horizon, one operating
-    point, fault-free plus intensity 5 — the predictor-on and -off
-    paths, steering, escalation and chaos interplay all execute."""
-    return conflict_avoidance_rows(
-        factors=(4.0,),
-        intensities=(0.0, 5.0),
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.experiments.common import format_table
 from repro.experiments.omega import single_run_rows
-from repro.experiments.sweeps import batch_load_points, point_label
+from repro.experiments.sweeps import batch_load_points, result_row, run_sweep
 from repro.federation import (
     ROUTING_POLICIES,
     FederatedResult,
@@ -40,14 +40,11 @@ __all__ = [
     "federation_row",
     "federation_points",
     "federation_rows",
-    "federation_smoke_rows",
-    "degenerate_rows",
-    "degenerate_tables",
+    "DegenerateGateFailure",
+    "degenerate_gate_rows",
     "run_degenerate_gate",
 ]
-from repro.perf.parallel import parallel_map
 from repro.sim import RandomStreams
-from repro.workload.job import JobType
 
 #: One federation sweep point: full config plus extra row fields.
 FederationPoint = tuple[FederationConfig, dict]
@@ -101,7 +98,7 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
     )
 
 
-def federation_row(result: FederatedResult, **extra) -> dict:
+def federation_row(sim, result: FederatedResult, **extra) -> dict:
     """Flatten one federated run into a results-table row.
 
     Starts from the standard :func:`~repro.experiments.sweeps.
@@ -110,20 +107,7 @@ def federation_row(result: FederatedResult, **extra) -> dict:
     (satellite of ROADMAP item 3: ``Histogram.merge_state``) and the
     explicit job ledger.
     """
-    row = {
-        **extra,
-        "wait_batch": result.mean_wait(JobType.BATCH),
-        "wait_service": result.mean_wait(JobType.SERVICE),
-        "busy_batch": result.busyness("batch"),
-        "busy_batch_mad": result.busyness_mad("batch"),
-        "busy_service": result.busyness("service"),
-        "busy_service_mad": result.busyness_mad("service"),
-        "conflict_batch": result.conflict_fraction("batch"),
-        "conflict_service": result.conflict_fraction("service"),
-        "abandoned": result.jobs_abandoned,
-        "unscheduled_fraction": result.unscheduled_fraction,
-        "utilization": result.final_cpu_utilization,
-    }
+    row = result_row(result, **extra)
     row.update(result.wait_percentiles())
     accounting = result.accounting
     row.update(
@@ -138,21 +122,6 @@ def federation_row(result: FederatedResult, **extra) -> dict:
         flaps=result.flaps,
     )
     return row
-
-
-def _federation_point(point: FederationPoint) -> dict:
-    """Run one federation sweep point (parallel-worker body).
-
-    Both post-run gates run here: per-cell invariant checks (raises on
-    any cell-state inconsistency) and — inside
-    :meth:`FederatedSimulation.run` itself — the front-door accounting
-    invariant.
-    """
-    config, extra = point
-    federation = build_federation(config)
-    result = federation.run()
-    federation.check_invariants()
-    return federation_row(result, **extra)
 
 
 def federation_points(
@@ -235,41 +204,33 @@ def federation_rows(
         scale=scale,
         faults=faults,
     )
-    return parallel_map(
-        _federation_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-
-
-def federation_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cells, short horizon, the fault-free
-    baseline plus one hostile intensity, both staleness regimes."""
-    return federation_rows(
-        cells=(1, 2),
-        staleness_values=(0.0, 120.0),
-        intensities=(0.0, 5.0),
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )
+    # Both post-run gates run per point: the per-cell invariant checks
+    # (FederatedSimulation.check_invariants) and, inside
+    # FederatedSimulation.run itself, the front-door accounting invariant.
+    return run_sweep(points, jobs=jobs, row=federation_row, build=build_federation)
 
 
 # ----------------------------------------------------------------------
 # The degenerate-baseline gate
 # ----------------------------------------------------------------------
-def degenerate_rows(
+class DegenerateGateFailure(RuntimeError):
+    """The degenerate federation's table differs from the single-cell
+    ``omega`` table."""
+
+
+def degenerate_gate_rows(
     cluster: str = "B",
     rate_factor: float = 1.0,
     horizon: float = 1800.0,
     seed: int = 0,
     scale: float = 0.05,
     jobs: int = 1,
-) -> tuple[list[dict], list[dict]]:
-    """The 1-cell/zero-staleness/zero-intensity federation rows and the
-    equivalent single-cell ``omega`` rows."""
+) -> list[dict]:
+    """The degenerate-baseline gate: run the 1-cell/zero-staleness/
+    zero-intensity federation and the equivalent single-cell ``omega``
+    run, and raise :class:`DegenerateGateFailure` unless their tables
+    over :data:`SHARED_COLUMNS` are byte-identical. Returns the
+    federation's rows on success."""
     federated = federation_rows(
         cells=(1,),
         staleness_values=(0.0,),
@@ -290,32 +251,16 @@ def degenerate_rows(
         scale=scale,
         jobs=jobs,
     )
-    return federated, single
-
-
-def degenerate_tables(
-    cluster: str = "B",
-    rate_factor: float = 1.0,
-    horizon: float = 1800.0,
-    seed: int = 0,
-    scale: float = 0.05,
-    jobs: int = 1,
-) -> tuple[str, str]:
-    """Render the 1-cell/zero-staleness/zero-intensity federation table
-    and the equivalent single-cell ``omega`` table over the shared
-    columns. The two must be byte-identical."""
-    federated, single = degenerate_rows(
-        cluster=cluster,
-        rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
-    )
-    return (
-        format_table(federated, SHARED_COLUMNS),
-        format_table(single, SHARED_COLUMNS),
-    )
+    federated_table = format_table(federated, SHARED_COLUMNS)
+    single_table = format_table(single, SHARED_COLUMNS)
+    if federated_table != single_table:
+        raise DegenerateGateFailure(
+            "degenerate-baseline gate failed: 1-cell zero-staleness "
+            "zero-intensity federation table differs from the "
+            f"single-cell omega table\n-- federation --\n{federated_table}\n"
+            f"-- single-cell --\n{single_table}"
+        )
+    return federated
 
 
 def run_degenerate_gate(
@@ -326,9 +271,8 @@ def run_degenerate_gate(
     scale: float = 0.05,
     jobs: int = 1,
 ) -> str:
-    """Raise unless the degenerate federation reproduces the single-cell
-    baseline byte-for-byte; returns the (shared) table on success."""
-    federated, single = degenerate_tables(
+    """:func:`degenerate_gate_rows`, returning the (shared) table."""
+    rows = degenerate_gate_rows(
         cluster=cluster,
         rate_factor=rate_factor,
         horizon=horizon,
@@ -336,11 +280,4 @@ def run_degenerate_gate(
         scale=scale,
         jobs=jobs,
     )
-    if federated != single:
-        raise RuntimeError(
-            "degenerate-baseline gate failed: 1-cell zero-staleness "
-            "zero-intensity federation table differs from the "
-            f"single-cell omega table\n-- federation --\n{federated}\n"
-            f"-- single-cell --\n{single}"
-        )
-    return federated
+    return format_table(rows, SHARED_COLUMNS)

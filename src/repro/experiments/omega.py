@@ -82,7 +82,6 @@ def figure8_rows(
 def single_run_rows(
     cluster: str = "B",
     rate_factor: float = 1.0,
-    smoke: bool = False,
     predictor: bool = False,
     horizon: float = DAY,
     seed: int = 0,
@@ -95,16 +94,11 @@ def single_run_rows(
     exactly one shared-state simulation, which is the right shape for
     recording a time-resolved trace (``--trace`` plus
     ``--timeline-interval``) and inspecting it with ``omega-sim trace``
-    / ``perfetto`` / ``report``. ``smoke`` is the CI variant: a 5%
-    cell for 30 simulated minutes, ignoring ``scale``/``horizon``.
-    ``predictor`` turns on predictive conflict avoidance (contention-
-    aware placement steering plus the ``predictive`` escalation policy,
-    see :mod:`repro.faults.predictor`); off, the run is byte-identical
-    to a build without the predictor.
+    / ``perfetto`` / ``report``. ``predictor`` turns on predictive
+    conflict avoidance (contention-aware placement steering plus the
+    ``predictive`` escalation policy, see :mod:`repro.faults.predictor`);
+    off, the run is byte-identical to a build without the predictor.
     """
-    if smoke:
-        scale = 0.05
-        horizon = 1800.0
     config_kwargs = {}
     if predictor:
         config_kwargs["retry_policy"] = RetryPolicyConfig(kind="predictive")

@@ -25,10 +25,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.experiments.sweeps import SweepPoint, point_label, result_row
+from repro.experiments.sweeps import SweepPoint, result_row, run_sweep
 from repro.faults import FaultConfig, PredictorConfig
 from repro.faults.retry import RetryPolicyConfig
-from repro.perf.parallel import parallel_map
 from repro.workload.clusters import CLUSTER_B
 
 #: The architectures compared in the degradation table. The single-path
@@ -79,19 +78,6 @@ def resilience_row(sim: LightweightSimulation, result, **extra) -> dict:
     return row
 
 
-def _resilience_point(point: SweepPoint) -> dict:
-    """Run one (architecture, intensity) point (parallel-worker body).
-
-    The post-run :meth:`~LightweightSimulation.check_invariants` gate
-    raises on any cell-state inconsistency, failing the whole sweep.
-    """
-    config, extra = point
-    sim = LightweightSimulation(config)
-    result = sim.run()
-    sim.check_invariants()
-    return resilience_row(sim, result, **extra)
-
-
 def resilience_rows(
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     architectures: Sequence[str] = RESILIENCE_ARCHITECTURES,
@@ -140,23 +126,4 @@ def resilience_rows(
             points.append(
                 (config, {"architecture": architecture, "intensity": intensity})
             )
-    return parallel_map(
-        _resilience_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-
-
-def resilience_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cell, short horizon, two intensities,
-    all four architectures, with starvation escalation switched on so
-    the fault, retry, and invariant paths all execute on every build."""
-    return resilience_rows(
-        intensities=(0.0, 5.0),
-        policy="starvation",
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )
+    return run_sweep(points, jobs=jobs, row=resilience_row)

@@ -13,15 +13,16 @@ seed, so serial and parallel executions produce identical rows.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import (
     DAY,
     LightweightConfig,
     LightweightResult,
-    run_lightweight,
+    LightweightSimulation,
 )
 from repro.perf.parallel import parallel_map
 from repro.schedulers.base import DEFAULT_T_JOB, DEFAULT_T_TASK, DecisionTimeModel
@@ -69,17 +70,40 @@ def point_label(extra: dict) -> str:
     return json.dumps(extra, sort_keys=True, separators=(",", ":"))
 
 
-def run_sweep_point(point: SweepPoint) -> dict:
-    """Run one sweep point to its result row (parallel-worker body)."""
+def run_sweep_point(
+    point: SweepPoint,
+    row: Callable[..., dict] | None = None,
+    build: Callable[[Any], Any] = LightweightSimulation,
+) -> dict:
+    """Run one sweep point to its result row (parallel-worker body).
+
+    ``build(config)`` constructs the simulation (a
+    :class:`LightweightSimulation` unless a driver composes several);
+    after the run, the post-run ``check_invariants()`` gate raises on
+    any cell-state inconsistency, failing the whole sweep. ``row(sim,
+    result, **extra)`` flattens the run; the default is
+    :func:`result_row`.
+    """
     config, extra = point
-    return result_row(run_lightweight(config), **extra)
+    sim = build(config)
+    result = sim.run()
+    sim.check_invariants()
+    if row is None:
+        return result_row(result, **extra)
+    return row(sim, result, **extra)
 
 
-def run_sweep(points: Sequence[SweepPoint], jobs: int = 1) -> list[dict]:
+def run_sweep(
+    points: Sequence[SweepPoint],
+    jobs: int = 1,
+    row: Callable[..., dict] | None = None,
+    build: Callable[[Any], Any] = LightweightSimulation,
+) -> list[dict]:
     """Run sweep points — serially or across ``jobs`` worker processes —
-    and return their rows in point order."""
+    and return their rows in point order (see :func:`run_sweep_point`
+    for ``row`` and ``build``)."""
     return parallel_map(
-        run_sweep_point,
+        functools.partial(run_sweep_point, row=row, build=build),
         points,
         jobs=jobs,
         labels=[point_label(extra) for _, extra in points],

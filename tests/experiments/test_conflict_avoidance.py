@@ -16,8 +16,8 @@ from repro.experiments.conflict_avoidance import (
     DELTA_COLUMNS,
     attach_deltas,
     conflict_avoidance_rows,
-    conflict_avoidance_smoke_rows,
 )
+from repro.experiments.cli import SMOKE_HOURS, SMOKE_SCALE, small_variant
 from repro.faults import PredictorConfig
 from repro.faults.retry import RetryPolicyConfig
 from repro.workload.clusters import CLUSTER_B
@@ -129,7 +129,9 @@ class TestRows:
                 assert_same(left[key], right[key], label=key)
 
     def test_smoke_rows_cover_both_paths(self):
-        rows = conflict_avoidance_smoke_rows(seed=SEED)
+        rows = small_variant(
+            "conflict-avoidance", SEED, SMOKE_SCALE, SMOKE_HOURS * 3600.0
+        )()
         assert {row["predictor"] for row in rows} == {"off", "on"}
         assert {row["intensity"] for row in rows} == {0.0, 5.0}
 
