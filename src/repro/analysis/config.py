@@ -61,7 +61,7 @@ class LintConfig:
     #: RandomStreams — never the wall clock or a freshly-seeded RNG.
     fault_injector_paths: tuple[str, ...] = (
         "repro/faults/*",
-        "repro/hifi/failures.py",
+        "repro/hifi/replay.py",
     )
     #: RBS001: recovery-critical paths (parallel workers, checkpoint
     #: and artifact writers) where broad exception handlers without a

@@ -645,7 +645,7 @@ class MutableDefaultRule(Rule):
 class FaultInjectionSourceRule(Rule):
     """Fault schedules must replay: no wall clock, no self-seeded RNGs.
 
-    Fault injectors (``repro.faults`` and the hifi failure injector) are
+    Fault injectors (``repro.faults`` and the trace replay's wiring) are
     only admissible in a determinism-gated simulator because every fault
     timeline is a pure function of the run's master seed: injectors
     *receive* an ``np.random.Generator`` forked from the run's

@@ -81,6 +81,7 @@ from repro.recovery import (
     SupervisorPolicy,
     activate,
 )
+from repro.workload.clusters import PRESETS
 from repro.workload.validation import validate_all
 
 
@@ -88,6 +89,25 @@ from repro.workload.validation import validate_all
 #: and the determinism gate's defaults.
 SMOKE_SCALE = 0.05
 SMOKE_HOURS = 0.5
+
+
+def _checked(kind: type, ok: Callable[[Any], bool], requirement: str):
+    """An argparse ``type``: parse as ``kind``, then reject (exit 2 with
+    a one-line message) values that fail ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" wording
+    return parse
+
+
+POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "positive")
+POSITIVE_INT = _checked(int, lambda value: value > 0, "positive")
+NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, ">= 0")
 
 
 class Plot(NamedTuple):
@@ -107,9 +127,9 @@ class Option:
 
     ``default`` picks the kind: ``False`` is a flag; a tuple is a
     comma-separated list whose parts parse as the tuple's element type;
-    anything else is a scalar of that type. The parsed value reaches
-    the driver as ``kwarg`` (default: the option's dest) when the
-    driver takes it.
+    anything else is a scalar of that type, or of ``parse`` when set.
+    The parsed value reaches the driver as ``kwarg`` (default: the
+    option's dest) when the driver takes it.
     """
 
     flag: str
@@ -117,6 +137,7 @@ class Option:
     default: Any = False
     kwarg: str | None = None
     choices: tuple[str, ...] | None = None
+    parse: Callable[[str], Any] | None = None
     #: Record the flag in run parameters only when it is set, so
     #: checkpoints written before the flag existed still resume.
     recorded_when_set: bool = False
@@ -137,7 +158,7 @@ class Option:
         else:
             parser.add_argument(
                 self.flag,
-                type=type(self.default),
+                type=self.parse or type(self.default),
                 default=self.default,
                 choices=self.choices,
                 help=self.help,
@@ -241,8 +262,19 @@ COMMANDS: dict[str, Experiment] = {
         "one Omega run at a single operating point "
         "(pairs with --trace/--timeline-interval)",
         options=(
-            Option("--cluster", "cluster preset letter (default B)", "B"),
-            Option("--rate-factor", "relative batch arrival-rate multiplier", 1.0),
+            Option(
+                "--cluster",
+                "cluster preset letter (default B)",
+                "B",
+                choices=tuple(PRESETS),
+                parse=str.upper,
+            ),
+            Option(
+                "--rate-factor",
+                "relative batch arrival-rate multiplier",
+                1.0,
+                parse=POSITIVE_FLOAT,
+            ),
             Option(
                 "--smoke",
                 "CI smoke variant: 5%% cell, 30 simulated minutes "
@@ -279,6 +311,14 @@ COMMANDS: dict[str, Experiment] = {
     "fig14": Experiment(
         conflict_modes.figure14_rows,
         "conflict detection/commit granularity choices",
+        options=(
+            Option(
+                "--smoke",
+                "CI smoke variant: 5%% cell, 30 simulated minutes "
+                "(ignores --scale/--hours)",
+                recorded_when_set=True,
+            ),
+        ),
         plot=Plot("mode", "t_job_service", "conflict_service", True, True,
                   "Figure 14a: conflict fraction by detection/commit mode"),
         small={},
@@ -500,17 +540,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=entry.help)
         sub.add_argument(
             "--scale",
-            type=float,
+            type=POSITIVE_FLOAT,
             default=0.25,
             help="cell scale factor (1.0 = paper-size presets)",
         )
         sub.add_argument(
-            "--hours", type=float, default=2.0, help="simulated horizon in hours"
+            "--hours",
+            type=POSITIVE_FLOAT,
+            default=2.0,
+            help="simulated horizon in hours",
         )
         sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
         sub.add_argument(
             "--samples",
-            type=int,
+            type=POSITIVE_INT,
             default=50_000,
             help="Monte Carlo samples (characterization figures only)",
         )
@@ -527,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--jobs",
-            type=int,
+            type=NON_NEGATIVE_INT,
             default=1,
             help="worker processes for independent sweep points "
             "(0 = all cores; results are identical to --jobs 1)",

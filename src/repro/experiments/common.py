@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis import sanitizer as _san
+from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.fill import populate
 from repro.core.multi import SchedulerPool
@@ -164,8 +165,9 @@ class LightweightConfig:
 
 @dataclass
 class LightweightResult(RunSummary):
-    """Metrics of one lightweight run, with the paper's derived
-    quantities (see :class:`repro.metrics.results.RunSummary`)."""
+    """Metrics of one lightweight run (or trace replay), with the
+    paper's derived quantities (see
+    :class:`repro.metrics.results.RunSummary`)."""
 
     config: LightweightConfig | None = None
 
@@ -175,7 +177,10 @@ class LightweightSimulation:
 
     Split from :func:`run_lightweight` so extensions (the MapReduce
     case-study scheduler of section 6) can compose with a built
-    simulation before running it.
+    simulation before running it. The trace-driven high-fidelity
+    simulator (:class:`repro.hifi.replay.HighFidelitySimulation`)
+    subclasses it and replaces only the cell, the scheduler set, the
+    standing fill, the arrival source and the ``run.start`` fields.
     """
 
     def __init__(
@@ -193,7 +198,7 @@ class LightweightSimulation:
         self.sim = sim if sim is not None else Simulator()
         self.streams = streams if streams is not None else RandomStreams(config.seed)
         self.metrics = MetricsCollector(period=config.period)
-        self.cell = config.preset.cell()
+        self.cell = self._new_cell()
         self.states: list[CellState] = []
         self.submit: Callable[[Job], None] | None = None
         self.batch_scheduler_names: list[str] = []
@@ -211,23 +216,15 @@ class LightweightSimulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _new_cell(self) -> Cell:
+        return self.config.preset.cell()
+
     def build(self) -> "LightweightSimulation":
         if self._built:
             raise RuntimeError("simulation already built")
         self._built = True
         if not self._external_sim:
-            if _san.ACTIVE is None and _san.env_enabled():
-                # Workers spawned by ``--jobs N`` inherit OMEGA_SAN=1 from
-                # the parent's ``--sanitize`` but not its installed
-                # sanitizer.
-                _san.install()
-            if _san.ACTIVE is not None:
-                _san.ACTIVE.begin_run(now=lambda: self.sim.now)
-            # Per-run global counters; a federation owner resets them
-            # once before building its cells (begin_run would wipe the
-            # sanitizer shadows of already-built sibling cells).
-            reset_job_ids()
-            reset_offer_ids()
+            start_owned_run(self.sim)
         builder = getattr(self, f"_build_{self.config.architecture.replace('-', '_')}")
         builder()
         self._fill_initial_state()
@@ -428,7 +425,6 @@ class LightweightSimulation:
                     predictor=predictor,
                 )
             )
-        pool = SchedulerPool(batch_schedulers)
         if config.enable_preemption:
             service = PreemptingOmegaScheduler(
                 prefix + "omega-service",
@@ -462,6 +458,12 @@ class LightweightSimulation:
                 ),
                 predictor=service_predictor,
             )
+        self._attach_omega(batch_schedulers, service)
+
+    def _attach_omega(self, batch_schedulers: list, service) -> None:
+        """Register an Omega scheduler set: batch jobs are spread over
+        the batch schedulers, service jobs go to the service scheduler."""
+        pool = SchedulerPool(batch_schedulers)
         self.omega_pool = pool
         self.omega_service = service
 
@@ -497,32 +499,12 @@ class LightweightSimulation:
 
     def _start_workload(self) -> None:
         assert self.submit is not None
-        config = self.config
-        if config.external_arrivals:
+        if self.config.external_arrivals:
             self.generators = {}
             return
-        self.generators = {
-            JobType.BATCH: WorkloadGenerator(
-                self.sim,
-                config.preset.batch,
-                JobType.BATCH,
-                self.streams.stream("workload.batch"),
-                self.submit,
-                config.horizon,
-                rate_factor=config.batch_rate_factor,
-            ),
-            JobType.SERVICE: WorkloadGenerator(
-                self.sim,
-                config.preset.service,
-                JobType.SERVICE,
-                self.streams.stream("workload.service"),
-                self.submit,
-                config.horizon,
-                rate_factor=config.service_rate_factor,
-            ),
-        }
-        for generator in self.generators.values():
-            generator.start()
+        self.generators = start_workload(
+            self.sim, self.streams, self.config, self.submit
+        )
 
     # ------------------------------------------------------------------
     def cpu_utilization(self) -> float:
@@ -575,16 +557,19 @@ class LightweightSimulation:
             self.build()
         rec = _obs.RECORDER
         if rec.enabled:
-            rec.event(
-                "run.start",
-                t=self.sim.now,
-                architecture=self.config.architecture,
-                horizon=self.config.horizon,
-                seed=self.config.seed,
-                cluster=self.config.preset.name,
-            )
+            rec.event("run.start", t=self.sim.now, **self._run_start_fields())
         self.sim.run(until=self.config.horizon)
         return self.finalize()
+
+    def _run_start_fields(self) -> dict:
+        """The ``run.start`` trace record's fields after ``t``."""
+        config = self.config
+        return {
+            "architecture": config.architecture,
+            "horizon": config.horizon,
+            "seed": config.seed,
+            "cluster": config.preset.name,
+        }
 
     def finalize(self) -> LightweightResult:
         """Post-run bookkeeping: sanitizer end-of-run check, engine-stat
@@ -623,6 +608,57 @@ class LightweightSimulation:
             sim_stats=stats,
             config=self.config,
         )
+
+
+def start_owned_run(sim: Simulator) -> None:
+    """The owner-side start of one run on ``sim``'s event loop.
+
+    Installs the sanitizer in ``--jobs N`` workers (they inherit
+    OMEGA_SAN=1 from the parent's ``--sanitize`` but not its installed
+    sanitizer), begins its run and resets the per-run global id
+    counters. A composition of several worlds on one loop (the
+    federation) calls this once before building them: a per-world
+    ``begin_run`` would wipe the sanitizer shadows of worlds already
+    built.
+    """
+    if _san.ACTIVE is None and _san.env_enabled():
+        _san.install()
+    if _san.ACTIVE is not None:
+        _san.ACTIVE.begin_run(now=lambda: sim.now)
+    reset_job_ids()
+    reset_offer_ids()
+
+
+def start_workload(
+    sim: Simulator,
+    streams: RandomStreams,
+    config: LightweightConfig,
+    submit: Callable[[Job], None],
+    rate_multiplier: float = 1.0,
+) -> dict[JobType, WorkloadGenerator]:
+    """Start ``config``'s batch and service arrival streams, feeding
+    ``submit``, at the config's rate factors times ``rate_multiplier``.
+
+    Each job type draws from its own ``workload.{type}`` stream.
+    """
+    generators = {
+        job_type: WorkloadGenerator(
+            sim,
+            params,
+            job_type,
+            streams.stream(f"workload.{job_type.value}"),
+            submit,
+            config.horizon,
+            rate_factor=rate_factor * rate_multiplier,
+        )
+        for job_type, params, rate_factor in (
+            (JobType.BATCH, config.preset.batch, config.batch_rate_factor),
+            (JobType.SERVICE, config.preset.service, config.service_rate_factor),
+        )
+    }
+    for generator in generators.values():
+        generator.start()
+    return generators
 
 
 def run_lightweight(config: LightweightConfig) -> LightweightResult:

@@ -16,10 +16,9 @@ from typing import Sequence
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import DAY
 from repro.experiments.hifi_perf import make_trace
-from repro.experiments.sweeps import point_label
-from repro.hifi.replay import HighFidelityConfig, run_hifi
+from repro.experiments.sweeps import run_sweep
+from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
 from repro.hifi.trace import Trace
-from repro.perf.parallel import parallel_map
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
 
@@ -32,13 +31,9 @@ MODES = (
 )
 
 
-def _mode_point(point: tuple[str, float, HighFidelityConfig]) -> dict:
-    """Run one (mode, t_job) point of Figure 14 (parallel-worker body)."""
-    label, t_job, config = point
-    result = run_hifi(config)
+def _mode_row(sim, result, **extra) -> dict:
     return {
-        "mode": label,
-        "t_job_service": t_job,
+        **extra,
         "conflict_service": result.conflict_fraction("service"),
         "conflict_batch": result.conflict_fraction("batch"),
         "busy_service": result.busyness("service"),
@@ -66,8 +61,6 @@ def figure14_rows(
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
     points = [
         (
-            label,
-            t_job,
             HighFidelityConfig(
                 trace=trace,
                 seed=seed,
@@ -75,16 +68,9 @@ def figure14_rows(
                 conflict_mode=conflict_mode,
                 commit_mode=commit_mode,
             ),
+            {"mode": label, "t_job_service": t_job},
         )
         for label, conflict_mode, commit_mode in MODES
         for t_job in t_jobs
     ]
-    return parallel_map(
-        _mode_point,
-        points,
-        jobs=jobs,
-        labels=[
-            point_label({"mode": label, "t_job_service": t_job})
-            for label, t_job, _ in points
-        ],
-    )
+    return run_sweep(points, jobs, _mode_row, build=HighFidelitySimulation)

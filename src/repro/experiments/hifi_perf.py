@@ -21,7 +21,8 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.experiments.common import DAY
-from repro.hifi.replay import HighFidelityConfig, run_hifi
+from repro.experiments.sweeps import run_sweep
+from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
 from repro.hifi.trace import Trace, synthesize_trace
 from repro.schedulers.base import DEFAULT_T_TASK, DecisionTimeModel
 from repro.workload.clusters import preset_by_name
@@ -58,7 +59,7 @@ def make_trace(
     return synthesize_trace(preset, horizon=horizon, seed=seed)
 
 
-def _hifi_row(result, **extra) -> dict:
+def _hifi_row(sim, result, **extra) -> dict:
     return {
         **extra,
         "wait_batch": result.mean_wait(JobType.BATCH),
@@ -75,6 +76,16 @@ def _hifi_row(result, **extra) -> dict:
     }
 
 
+def _figure13_row(sim, result, **extra) -> dict:
+    """:func:`_hifi_row` plus per-batch-scheduler busyness and waits."""
+    row = _hifi_row(sim, result, **extra)
+    for index, name in enumerate(result.batch_scheduler_names):
+        row[f"busy_batch_{index}"] = result.scheduler_busyness(name)
+        row[f"wait_batch_{index}"] = result.scheduler_wait_mean(name)
+        row[f"wait_batch_{index}_p90"] = result.scheduler_wait_p90(name)
+    return row
+
+
 def figure11_rows(
     trace: Trace | None = None,
     t_jobs: Sequence[float] = DEFAULT_T_JOBS,
@@ -83,26 +94,24 @@ def figure11_rows(
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
+    jobs: int = 1,
 ) -> list[dict]:
     """Service busyness surface over t_job x t_task (cluster C trace)."""
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for t_job in t_jobs:
-        for t_task in t_tasks:
-            result = run_hifi(
-                HighFidelityConfig(
-                    trace=trace,
-                    seed=seed,
-                    service_model=DecisionTimeModel(t_job=t_job, t_task=t_task),
-                )
-            )
-            rows.append(
-                _hifi_row(
-                    result, cluster=cluster, t_job_service=t_job, t_task_service=t_task
-                )
-            )
-    return rows
+    points = [
+        (
+            HighFidelityConfig(
+                trace=trace,
+                seed=seed,
+                service_model=DecisionTimeModel(t_job=t_job, t_task=t_task),
+            ),
+            {"cluster": cluster, "t_job_service": t_job, "t_task_service": t_task},
+        )
+        for t_job in t_jobs
+        for t_task in t_tasks
+    ]
+    return run_sweep(points, jobs, _hifi_row, build=HighFidelitySimulation)
 
 
 def figure12_rows(
@@ -113,21 +122,23 @@ def figure12_rows(
     seed: int = 0,
     scale: float = 1.0,
     t_task_service: float = DEFAULT_T_TASK,
+    jobs: int = 1,
 ) -> list[dict]:
     """Varying t_job(service) on the cluster B trace."""
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for t_job in t_jobs:
-        result = run_hifi(
+    points = [
+        (
             HighFidelityConfig(
                 trace=trace,
                 seed=seed,
                 service_model=DecisionTimeModel(t_job=t_job, t_task=t_task_service),
-            )
+            ),
+            {"cluster": cluster, "t_job_service": t_job},
         )
-        rows.append(_hifi_row(result, cluster=cluster, t_job_service=t_job))
-    return rows
+        for t_job in t_jobs
+    ]
+    return run_sweep(points, jobs, _hifi_row, build=HighFidelitySimulation)
 
 
 def figure13_rows(
@@ -138,6 +149,7 @@ def figure13_rows(
     seed: int = 0,
     scale: float = 1.0,
     scheduler_counts: Sequence[int] = (1, 3),
+    jobs: int = 1,
 ) -> list[dict]:
     """Splitting the batch workload across batch schedulers while
     sweeping t_job(batch); the service path keeps defaults.
@@ -147,29 +159,20 @@ def figure13_rows(
     """
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for count in scheduler_counts:
-        for t_job in t_jobs:
-            result = run_hifi(
-                HighFidelityConfig(
-                    trace=trace,
-                    seed=seed,
-                    batch_model=DecisionTimeModel(t_job=t_job),
-                    num_batch_schedulers=count,
-                )
-            )
-            row = _hifi_row(
-                result,
-                cluster=cluster,
-                t_job_batch=t_job,
+    points = [
+        (
+            HighFidelityConfig(
+                trace=trace,
+                seed=seed,
+                batch_model=DecisionTimeModel(t_job=t_job),
                 num_batch_schedulers=count,
-            )
-            for index, name in enumerate(result.batch_scheduler_names):
-                row[f"busy_batch_{index}"] = result.scheduler_busyness(name)
-                row[f"wait_batch_{index}"] = result.scheduler_wait_mean(name)
-                row[f"wait_batch_{index}_p90"] = result.scheduler_wait_p90(name)
-            rows.append(row)
-    return rows
+            ),
+            {"cluster": cluster, "t_job_batch": t_job, "num_batch_schedulers": count},
+        )
+        for count in scheduler_counts
+        for t_job in t_jobs
+    ]
+    return run_sweep(points, jobs, _figure13_row, build=HighFidelitySimulation)
 
 
 def figure13_saturation_shift(rows: list[dict], threshold: float = 0.05) -> dict:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.common import DAY, LightweightConfig, run_lightweight
+from repro.experiments.common import DAY, LightweightConfig
 from repro.experiments.sweeps import (
     DEFAULT_SWEEP_CLUSTERS,
-    result_row,
+    run_sweep,
     sweep_service_decision_time,
 )
 from repro.schedulers.base import DecisionTimeModel
@@ -86,6 +86,7 @@ def pathology_rows(
     seed: int = 11,
     num_machines: int = 150,
     attempt_limit: int = 1000,
+    jobs: int = 1,
 ) -> list[dict]:
     """Run the pathology workload under Mesos (and reference
     architectures) across service decision times.
@@ -95,23 +96,22 @@ def pathology_rows(
     reaches the same abandonment regime around 150-300 attempts.
     """
     preset = pathology_preset(num_machines)
-    rows = []
-    for architecture in architectures:
-        for t_job in t_jobs:
-            result = run_lightweight(
-                LightweightConfig(
-                    preset=preset,
-                    architecture=architecture,
-                    horizon=horizon,
-                    seed=seed,
-                    service_model=DecisionTimeModel(t_job=t_job),
-                    attempt_limit=attempt_limit,
-                )
-            )
-            rows.append(
-                result_row(result, architecture=architecture, t_job_service=t_job)
-            )
-    return rows
+    points = [
+        (
+            LightweightConfig(
+                preset=preset,
+                architecture=architecture,
+                horizon=horizon,
+                seed=seed,
+                service_model=DecisionTimeModel(t_job=t_job),
+                attempt_limit=attempt_limit,
+            ),
+            {"architecture": architecture, "t_job_service": t_job},
+        )
+        for architecture in architectures
+        for t_job in t_jobs
+    ]
+    return run_sweep(points, jobs)
 
 
 def figure7_rows(

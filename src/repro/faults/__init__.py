@@ -7,12 +7,12 @@ immediately and forever. This package grows the reproduction into the
 robustness territory the authors skipped (see ``docs/RESILIENCE.md``):
 
 * :class:`~repro.faults.processes.FailureRepairProcess` — the one
-  Poisson machine failure/repair implementation, shared by the
-  high-fidelity injector (:mod:`repro.hifi.failures`) and the
-  lightweight chaos engine;
+  Poisson machine failure/repair implementation, driven by the chaos
+  engine;
 * :class:`~repro.faults.chaos.ChaosEngine` /
   :class:`~repro.faults.chaos.FaultConfig` — seeded, named-stream
-  fault injection for every lightweight architecture: machine failures,
+  fault injection for every lightweight architecture and the trace
+  replay (which share one run lifecycle): machine failures,
   scheduler crash/restart with in-flight-transaction loss, and
   commit-path latency spikes and drops;
 * :mod:`~repro.faults.retry` — pluggable Omega conflict-retry policies

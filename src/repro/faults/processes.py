@@ -1,11 +1,11 @@
 """The shared machine failure/repair process.
 
-One implementation of the Poisson failure model serves both simulators:
-the high-fidelity :class:`repro.hifi.failures.MachineFailureInjector`
-(which evicts tasks through the allocation ledger) and the lightweight
-chaos engine (:mod:`repro.faults.chaos`, which may run without a ledger
-and lets running tasks ride out the failure — the same modeling
-simplification the hifi injector applies to unledgered allocations).
+One implementation of the Poisson failure model serves both simulators
+through the chaos engine (:mod:`repro.faults.chaos`). With an allocation
+ledger in play (preemption in the lightweight simulator, any trace
+replay with machine failures) a failing machine's tasks are evicted
+through it; without one, running tasks ride out the failure as a
+modeling simplification.
 
 Mechanics: machines fail as a Poisson process whose cell-wide rate is
 ``up_machines / mtbf``; a failing machine's tasks are evicted through

@@ -19,19 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.analysis import sanitizer as _san
-from repro.experiments.common import LightweightResult
+from repro.experiments.common import (
+    LightweightResult,
+    start_owned_run,
+    start_workload,
+)
 from repro.federation.cells import FederatedCell
 from repro.federation.chaos import FederationChaosEngine
 from repro.federation.config import FederationConfig
 from repro.federation.router import FrontDoor
 from repro.obs import recorder as _obs
 from repro.obs.registry import Histogram, publish_sim_stats
-from repro.schedulers.mesos import reset_offer_ids
 from repro.sim import RandomStreams, Simulator
 from repro.sim.random import derive_seed
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.job import JobType, reset_job_ids
+from repro.workload.job import JobType
 
 
 @dataclass
@@ -61,13 +63,6 @@ class FederatedResult:
     # ------------------------------------------------------------------
     # Pooled metrics (degenerate-exact for one cell)
     # ------------------------------------------------------------------
-    def _role_names(self, result: LightweightResult, role: str) -> list[str]:
-        if role == "batch":
-            return result.batch_scheduler_names
-        if role == "service":
-            return result.service_scheduler_names
-        raise ValueError(f"role must be 'batch' or 'service', got {role!r}")
-
     def mean_wait(self, job_type: JobType) -> float:
         """Federation-wide average wait time: the pooled per-job list."""
         waits: list[float] = []
@@ -77,25 +72,23 @@ class FederatedResult:
             return float("nan")
         return sum(waits) / len(waits)
 
+    def _scheduler_mean(self, role: str, stat: str) -> float:
+        """The collector's per-scheduler ``stat`` averaged over every
+        scheduler of the role, across all cells."""
+        values = [
+            getattr(result.metrics, stat)(name, result.horizon)
+            for result in self.cell_results
+            for name in result.role_names(role)
+        ]
+        return sum(values) / len(values)
+
     def busyness(self, role: str) -> float:
         """Median daily busyness averaged over every scheduler of the
         role, across all cells."""
-        values: list[float] = []
-        for result in self.cell_results:
-            values.extend(
-                result.metrics.median_busyness(name, result.horizon)
-                for name in self._role_names(result, role)
-            )
-        return sum(values) / len(values)
+        return self._scheduler_mean(role, "median_busyness")
 
     def busyness_mad(self, role: str) -> float:
-        values: list[float] = []
-        for result in self.cell_results:
-            values.extend(
-                result.metrics.mad_busyness(name, result.horizon)
-                for name in self._role_names(result, role)
-            )
-        return sum(values) / len(values)
+        return self._scheduler_mean(role, "mad_busyness")
 
     def conflict_fraction(self, role: str) -> float:
         """Conflicts per successfully scheduled job, pooled over every
@@ -103,7 +96,7 @@ class FederatedResult:
         conflicts = 0
         scheduled = 0
         for result in self.cell_results:
-            for name in self._role_names(result, role):
+            for name in result.role_names(role):
                 per_scheduler = result.metrics.schedulers[name]
                 conflicts += sum(per_scheduler.conflicts.values())
                 scheduled += sum(per_scheduler.jobs_scheduled.values())
@@ -191,16 +184,9 @@ class FederatedSimulation:
         if self._built:
             raise RuntimeError("federation already built")
         self._built = True
-        if _san.ACTIVE is None and _san.env_enabled():
-            _san.install()
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.begin_run(now=lambda: self.sim.now)
-        # Global per-run counters, reset once for the whole federation
-        # (each cell skips them: an injected simulator marks the cell as
-        # non-owning, and a per-cell sanitizer begin_run would wipe the
-        # shadows of already-built sibling cells).
-        reset_job_ids()
-        reset_offer_ids()
+        # Once for the whole federation: an injected simulator marks
+        # each cell as non-owning, so the cells skip it.
+        start_owned_run(self.sim)
         config = self.config
         base = config.cell_config
         for index in range(config.num_cells):
@@ -233,7 +219,16 @@ class FederatedSimulation:
                 self.sim.every(
                     config.staleness, cell.publish_digest, until=base.horizon
                 )
-        self._start_workload()
+        # The front door's combined arrival stream: the single-cell
+        # run's named streams at ``num_cells`` times the template rates,
+        # so one cell is exactly the baseline workload.
+        self.generators = start_workload(
+            self.sim,
+            self.streams,
+            base,
+            self.front_door.submit,
+            rate_multiplier=float(config.num_cells),
+        )
         if config.fault_config.enabled:
             self.chaos = FederationChaosEngine(
                 self.sim,
@@ -245,40 +240,6 @@ class FederatedSimulation:
             )
             self.chaos.install()
         return self
-
-    def _start_workload(self) -> None:
-        """The front door's combined arrival stream.
-
-        Same named streams as a single-cell run (``workload.batch`` /
-        ``workload.service`` off the master streams) at ``num_cells``
-        times the template rates: one cell at multiplier 1 is exactly
-        the baseline workload.
-        """
-        assert self.front_door is not None
-        base = self.config.cell_config
-        multiplier = float(self.config.num_cells)
-        self.generators = {
-            JobType.BATCH: WorkloadGenerator(
-                self.sim,
-                base.preset.batch,
-                JobType.BATCH,
-                self.streams.stream("workload.batch"),
-                self.front_door.submit,
-                base.horizon,
-                rate_factor=base.batch_rate_factor * multiplier,
-            ),
-            JobType.SERVICE: WorkloadGenerator(
-                self.sim,
-                base.preset.service,
-                JobType.SERVICE,
-                self.streams.stream("workload.service"),
-                self.front_door.submit,
-                base.horizon,
-                rate_factor=base.service_rate_factor * multiplier,
-            ),
-        }
-        for job_type in (JobType.BATCH, JobType.SERVICE):
-            self.generators[job_type].start()
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> list[str]:

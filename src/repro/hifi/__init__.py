@@ -16,13 +16,13 @@ This package is the reproduction's analog:
   production algorithm (DESIGN.md, "Substitutions");
 * :mod:`repro.hifi.trace` — a trace format with reader/writer and a
   deterministic synthesizer standing in for the production traces;
-* :mod:`repro.hifi.replay` — trace-driven Omega simulation.
+* :mod:`repro.hifi.replay` — trace-driven Omega simulation on the
+  lightweight simulator's run lifecycle.
 """
 
 from repro.hifi.constraints import AttributeIndex, Constraint, ConstraintOp
-from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
-from repro.hifi.replay import HighFidelityConfig, HighFidelityResult, run_hifi
+from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import Trace, TraceJob, TraceMachine, read_trace, synthesize_trace, write_trace
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ConstraintOp",
     "AttributeIndex",
     "ScoringPlacer",
-    "MachineFailureInjector",
     "Trace",
     "TraceJob",
     "TraceMachine",
@@ -38,6 +37,6 @@ __all__ = [
     "read_trace",
     "write_trace",
     "HighFidelityConfig",
-    "HighFidelityResult",
+    "HighFidelitySimulation",
     "run_hifi",
 ]

@@ -7,36 +7,41 @@ scoring algorithm, and — also like the paper — the finer placement and
 fullness behaviour produces noticeably more interference than the
 lightweight simulator.
 
+The replay is the lightweight simulator's run lifecycle
+(:class:`~repro.experiments.common.LightweightSimulation`: build, run,
+finalize, the invariant gate, omega-san, chaos and ``timeline.*``
+telemetry) with only the workload source and placement algorithm
+swapped, the two ways the paper's simulators differ.
+
 Simplifications carried over from the paper's own simulator: requested
 sizes are used instead of actual usage, allocations are fixed at their
 initially-requested sizes, and preemption is disabled. Machine failures
 — which the paper also skipped — are *optionally* modeled here as an
-extension (``machine_mtbf``; see :mod:`repro.hifi.failures`).
+extension (``fault_config``; see :mod:`repro.faults.chaos`). The paper
+justifies the omission because failures "only generate a small load on
+the scheduler"; ``tests/hifi/test_failures.py`` checks that claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
+from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.fill import populate
-from repro.core.multi import SchedulerPool
 from repro.core.preemption import AllocationLedger
 from repro.core.scheduler import OmegaScheduler
 from repro.core.transaction import CommitMode, ConflictMode
+from repro.experiments.common import DAY, LightweightResult, LightweightSimulation
+from repro.faults import FaultConfig
 from repro.hifi.constraints import AttributeIndex
-from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
 from repro.hifi.trace import Trace, TraceJob
-from repro.metrics import MetricsCollector
-from repro.metrics.results import RunSummary
 from repro.obs import recorder as _obs
-from repro.obs.registry import publish_sim_stats
+from repro.obs import timeline as _timeline
 from repro.schedulers.base import DecisionTimeModel
-from repro.sim import RandomStreams, Simulator
-from repro.workload.job import Job, JobType, reset_job_ids
-
-DAY = 86400.0
+from repro.workload.job import Job
 
 
 @dataclass
@@ -52,114 +57,100 @@ class HighFidelityConfig:
     commit_mode: CommitMode = CommitMode.INCREMENTAL
     attempt_limit: int = 1000
     metrics_period: float | None = None
-    horizon: float | None = None  # default: the trace's horizon
-    #: Mean time between failures per machine (seconds); None disables
-    #: failure injection. An extension beyond the paper, which skipped
-    #: machine failures; see :mod:`repro.hifi.failures`.
-    machine_mtbf: float | None = None
-    repair_time: float = 1800.0
+    #: Simulated horizon; ``None`` resolves to the trace's horizon at
+    #: construction.
+    horizon: float | None = None
+    #: Deterministic fault injection, as in the lightweight simulator.
+    #: Machine failures are an extension beyond the paper, which skipped
+    #: them; with machine failures on, allocations are ledgered so a
+    #: failing machine's tasks are evicted and rescheduled.
+    fault_config: FaultConfig = field(default_factory=FaultConfig)
+    #: ``timeline.*`` sampling interval: the process-wide default
+    #: (``--timeline-interval``), captured at construction so configs
+    #: pickled to ``--jobs N`` workers carry it.
+    timeline_interval: float | None = field(init=False, default=None)
+
+    #: What the shared lifecycle reads but a replay does not vary.
+    architecture: ClassVar[str] = "hifi-omega"
+    invariant_check_interval: ClassVar[float | None] = None
+    utilization_sample_interval: ClassVar[float | None] = None
 
     def __post_init__(self) -> None:
         if self.num_batch_schedulers < 1:
             raise ValueError("need at least one batch scheduler")
-
-    @property
-    def effective_horizon(self) -> float:
-        return self.horizon if self.horizon is not None else self.trace.horizon
+        if self.horizon is None:
+            self.horizon = self.trace.horizon
+        self.timeline_interval = _timeline.default_interval()
 
     @property
     def period(self) -> float:
         if self.metrics_period is not None:
             return self.metrics_period
-        return min(DAY, self.effective_horizon / 4.0)
+        return min(DAY, self.horizon / 4.0)
 
 
-@dataclass
-class HighFidelityResult(RunSummary):
-    """Metrics of one high-fidelity replay."""
+class HighFidelitySimulation(LightweightSimulation):
+    """Builds and runs one trace replay: the trace's cell, standing
+    tasks and jobs, scheduled by Omega schedulers that place with the
+    constraint-aware :class:`~repro.hifi.placement.ScoringPlacer`."""
 
-    config: HighFidelityConfig | None = None
+    config: HighFidelityConfig
 
+    def _new_cell(self) -> Cell:
+        return self.config.trace.cell()
 
-class HighFidelitySimulation:
-    """Builds and runs one trace replay."""
-
-    def __init__(self, config: HighFidelityConfig) -> None:
-        self.config = config
-        self.sim = Simulator()
-        self.streams = RandomStreams(config.seed)
-        self.metrics = MetricsCollector(period=config.period)
-        self.cell = config.trace.cell()
-        self.state = CellState(self.cell)
-        self.placer = ScoringPlacer(self.cell, AttributeIndex(self.cell))
-        self._built = False
-
-    def build(self) -> "HighFidelitySimulation":
-        if self._built:
-            raise RuntimeError("simulation already built")
-        self._built = True
-        reset_job_ids()
+    def _build_hifi_omega(self) -> None:
+        state = CellState(self.cell)
+        self.states.append(state)
         config = self.config
-        self.ledger = None
-        self.failures = None
-        if config.machine_mtbf is not None:
-            self.ledger = AllocationLedger(self.state, self.sim)
-            self.failures = MachineFailureInjector(
-                self.sim,
-                self.state,
-                self.ledger,
-                self.streams.stream("machine-failures"),
-                mtbf=config.machine_mtbf,
-                repair_time=config.repair_time,
-            )
-        batch_schedulers = [
-            OmegaScheduler(
-                f"hifi-batch-{i}" if config.num_batch_schedulers > 1 else "hifi-batch",
+        if config.fault_config.machine_mtbf is not None:
+            self.ledger = AllocationLedger(state, self.sim)
+        placer = ScoringPlacer(self.cell, AttributeIndex(self.cell))
+
+        def scheduler(name: str, stream: str, model: DecisionTimeModel):
+            return OmegaScheduler(
+                name,
                 self.sim,
                 self.metrics,
-                self.state,
-                self.streams.stream(f"placement.hifi-batch-{i}"),
-                config.batch_model,
+                state,
+                self.streams.stream(stream),
+                model,
                 conflict_mode=config.conflict_mode,
                 commit_mode=config.commit_mode,
-                placement=self.placer,
+                placement=placer,
                 attempt_limit=config.attempt_limit,
                 ledger=self.ledger,
             )
-            for i in range(config.num_batch_schedulers)
-        ]
-        self.pool = SchedulerPool(batch_schedulers)
-        self.service = OmegaScheduler(
-            "hifi-service",
-            self.sim,
-            self.metrics,
-            self.state,
-            self.streams.stream("placement.hifi-service"),
-            config.service_model,
-            conflict_mode=config.conflict_mode,
-            commit_mode=config.commit_mode,
-            placement=self.placer,
-            attempt_limit=config.attempt_limit,
-            ledger=self.ledger,
-        )
-        self.batch_scheduler_names = self.pool.names
-        self.service_scheduler_names = [self.service.name]
 
-        horizon = config.effective_horizon
+        count = config.num_batch_schedulers
+        batch_schedulers = [
+            scheduler(
+                f"hifi-batch-{i}" if count > 1 else "hifi-batch",
+                f"placement.hifi-batch-{i}",
+                config.batch_model,
+            )
+            for i in range(count)
+        ]
+        service = scheduler(
+            "hifi-service", "placement.hifi-service", config.service_model
+        )
+        self._attach_omega(batch_schedulers, service)
+
+    def _fill_initial_state(self) -> None:
         populate(
-            self.state,
-            config.trace.initial_tasks,
+            self.states[0],
+            self.config.trace.initial_tasks,
             self.streams.stream("initial-fill"),
             self.sim,
-            horizon,
+            self.config.horizon,
         )
-        for trace_job in config.trace.jobs:
-            if trace_job.submit_time > horizon:
+
+    def _start_workload(self) -> None:
+        self.generators = {}
+        for trace_job in self.config.trace.jobs:
+            if trace_job.submit_time > self.config.horizon:
                 break
             self.sim.at(trace_job.submit_time, self._submit_trace_job, trace_job)
-        if self.failures is not None:
-            self.failures.start(horizon)
-        return self
 
     def _submit_trace_job(self, trace_job: TraceJob) -> None:
         job = Job(
@@ -181,42 +172,17 @@ class HighFidelitySimulation:
                 tasks=job.num_tasks,
                 constrained=bool(job.constraints),
             )
-        if job.job_type is JobType.BATCH:
-            self.pool.submit(job)
-        else:
-            self.service.submit(job)
+        self.submit(job)
 
-    def run(self) -> HighFidelityResult:
-        if not self._built:
-            self.build()
-        horizon = self.config.effective_horizon
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "run.start",
-                t=self.sim.now,
-                architecture="hifi-omega",
-                horizon=horizon,
-                seed=self.config.seed,
-            )
-        self.sim.run(until=horizon)
-        stats = self.sim.stats()
-        publish_sim_stats(stats)
-        return HighFidelityResult(
-            metrics=self.metrics,
-            horizon=horizon,
-            batch_scheduler_names=self.batch_scheduler_names,
-            service_scheduler_names=self.service_scheduler_names,
-            jobs_submitted=self.metrics.jobs_submitted,
-            jobs_scheduled=self.metrics.jobs_scheduled_total,
-            jobs_abandoned=self.metrics.jobs_abandoned_total,
-            final_cpu_utilization=self.state.cpu_utilization,
-            events_processed=self.sim.events_processed,
-            sim_stats=stats,
-            config=self.config,
-        )
+    def _run_start_fields(self) -> dict:
+        config = self.config
+        return {
+            "architecture": config.architecture,
+            "horizon": config.horizon,
+            "seed": config.seed,
+        }
 
 
-def run_hifi(config: HighFidelityConfig) -> HighFidelityResult:
+def run_hifi(config: HighFidelityConfig) -> LightweightResult:
     """Build and run one high-fidelity replay."""
     return HighFidelitySimulation(config).run()

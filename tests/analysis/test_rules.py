@@ -369,7 +369,8 @@ class TestGEN001:
 # ----------------------------------------------------------------------
 class TestFIJ001:
     """FIJ001 only fires inside the configured fault-injector paths
-    (``repro/faults/*`` and the hifi failure injector by default);
+    (``repro/faults/*`` and the trace replay, which wires a replay's
+    fault config, by default);
     DET001/DET002 may fire alongside it, so the assertions check
     membership, not the full rule list."""
 
@@ -418,13 +419,13 @@ class TestFIJ001:
         """
         assert "FIJ001" in rules_of(lint(source, path="repro/faults/invariants.py"))
 
-    def test_hifi_failure_injector_covered_by_default(self):
+    def test_hifi_replay_covered_by_default(self):
         source = """
             import numpy as np
 
             rng = np.random.default_rng(1)
         """
-        assert "FIJ001" in rules_of(lint(source, path="repro/hifi/failures.py"))
+        assert "FIJ001" in rules_of(lint(source, path="repro/hifi/replay.py"))
 
     def test_not_flagged_outside_fault_paths(self):
         source = """
@@ -469,7 +470,7 @@ class TestFIJ001:
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         findings = lint_paths(
-            [src / "repro" / "faults", src / "repro" / "hifi" / "failures.py"]
+            [src / "repro" / "faults", src / "repro" / "hifi" / "replay.py"]
         )
         assert findings == []
 

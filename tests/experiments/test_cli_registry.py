@@ -11,10 +11,12 @@ import pytest
 from repro.experiments import cli
 from repro.experiments.cli import COMMANDS, build_parser, main, render_plot
 
-#: The commands that took --jobs (and --checkpoint) before the registry.
+#: The commands that took --jobs (and --checkpoint) before the registry,
+#: plus the hifi sweeps fig11-13, whose drivers now go through run_sweep.
 JOBS_COMMANDS = {
     "fig5a", "fig5b", "fig5c", "partitioned", "fig7", "fig8", "fig9",
-    "omega", "fig10", "fig14", "ablation-offer", "ablation-retry",
+    "omega", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "ablation-offer", "ablation-retry",
     "ablation-util", "ablation-preemption", "ablation-backoff",
     "ablation-placement", "resilience", "conflict-avoidance", "federation",
 }

@@ -213,6 +213,22 @@ class TestParallelJobsEquivalence:
             label for label, _, _ in SCHEMES
         ]
 
+    @pytest.mark.parametrize(
+        "driver,kwargs",
+        [
+            (hifi_perf.figure11_rows, dict(t_jobs=(0.1, 10.0), t_tasks=(0.01,))),
+            (hifi_perf.figure12_rows, dict(t_jobs=(0.1, 10.0))),
+            (hifi_perf.figure13_rows, dict(t_jobs=(1.0,), scheduler_counts=(1, 3))),
+        ],
+        ids=["figure11", "figure12", "figure13"],
+    )
+    def test_hifi_drivers(self, driver, kwargs):
+        trace = synthesize_trace(tiny_preset(num_machines=40), horizon=600.0, seed=2)
+        serial = driver(trace=trace, seed=0, **kwargs)
+        parallel = driver(trace=trace, seed=0, jobs=2, **kwargs)
+        assert self._encoded(serial) == self._encoded(parallel)
+        assert [list(r) for r in serial] == [list(r) for r in parallel]
+
     def test_ablation_custom_row_shape(self):
         from repro.experiments.ablations import preemption_rows
 

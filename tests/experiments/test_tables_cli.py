@@ -132,5 +132,30 @@ class TestCli:
         assert main(["omega", "--smoke", "--timeline-interval", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig8", "--jobs", "-1"],
+            ["fig12", "--scale", "0"],
+            ["fig8", "--scale", "-1"],
+            ["fig11", "--hours", "0"],
+            ["fig12", "--hours", "-1"],
+            ["omega", "--smoke", "--rate-factor", "-1"],
+            ["omega", "--smoke", "--cluster", "Z"],
+            ["fig2", "--samples", "-5"],
+            ["fig2", "--samples", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_rejected_by_the_parser(self, argv, capsys):
+        """Out-of-range values fail at parse time with a one-line
+        message and exit 2, before anything runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}:" in captured.err.splitlines()[-1]
+
     def test_trace_json_on_missing_file_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path / "absent.jsonl"), "--json"]) == 2

@@ -1,4 +1,6 @@
-"""Tests for machine-failure injection (extension beyond the paper)."""
+"""Tests for machine failures in the trace replay (extension beyond the
+paper): the shared failure process evicting through the allocation
+ledger, and failures injected into a replay by its ``fault_config``."""
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
 from repro.core.transaction import Claim
-from repro.hifi.failures import MachineFailureInjector
-from repro.hifi.replay import HighFidelityConfig, run_hifi
+from repro.faults import FaultConfig
+from repro.faults.processes import FailureRepairProcess
+from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import synthesize_trace
 from tests.conftest import tiny_preset
 
@@ -24,8 +27,13 @@ def ledger(state, sim):
 
 
 def injector(sim, state, ledger, mtbf=3600.0, repair=100.0, seed=0):
-    return MachineFailureInjector(
-        sim, state, ledger, np.random.default_rng(seed), mtbf=mtbf, repair_time=repair
+    return FailureRepairProcess(
+        sim,
+        state,
+        np.random.default_rng(seed),
+        mtbf=mtbf,
+        repair_time=repair,
+        evict=ledger.evict_machine,
     )
 
 
@@ -92,6 +100,10 @@ class TestFailureMechanics:
             injector(sim, state, ledger, repair=0.0)
 
 
+#: Machine failures only, at a realistic per-machine MTBF.
+FAILURES = FaultConfig(machine_mtbf=4 * 3600.0, machine_repair_time=300.0)
+
+
 class TestFailuresInReplay:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -99,12 +111,20 @@ class TestFailuresInReplay:
 
     def test_replay_with_failures_completes(self, trace):
         result = run_hifi(
-            HighFidelityConfig(
-                trace=trace, seed=0, machine_mtbf=4 * 3600.0, repair_time=300.0
-            )
+            HighFidelityConfig(trace=trace, seed=0, fault_config=FAILURES)
         )
         assert result.jobs_scheduled > 0
         assert result.unscheduled_fraction < 0.1
+
+    def test_failures_evict_through_the_ledger(self, trace):
+        simulation = HighFidelitySimulation(
+            HighFidelityConfig(trace=trace, seed=0, fault_config=FAILURES)
+        )
+        simulation.run()
+        assert simulation.ledger is not None
+        assert simulation.chaos.machine_failures > 0
+        assert simulation.metrics.fault_tasks_killed > 0
+        assert simulation.check_invariants() == []
 
     def test_paper_claim_failures_add_little_scheduler_load(self, trace):
         """The paper skipped machine failures because "these only
@@ -112,9 +132,7 @@ class TestFailuresInReplay:
         batch busyness moves only marginally with failures enabled."""
         without = run_hifi(HighFidelityConfig(trace=trace, seed=0))
         with_failures = run_hifi(
-            HighFidelityConfig(
-                trace=trace, seed=0, machine_mtbf=4 * 3600.0, repair_time=300.0
-            )
+            HighFidelityConfig(trace=trace, seed=0, fault_config=FAILURES)
         )
         assert with_failures.busyness("batch") == pytest.approx(
             without.busyness("batch"), abs=0.05

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro import obs
+from repro.analysis import sanitizer as _san
 from repro.core.transaction import CommitMode, ConflictMode
+from repro.experiments.hifi_perf import make_trace
+from repro.obs import timeline
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import synthesize_trace
 from repro.schedulers.base import DecisionTimeModel
@@ -90,3 +94,49 @@ class TestInterference:
     def test_utilization_positive(self, trace):
         result = run_hifi(HighFidelityConfig(trace=trace, seed=0))
         assert 0.0 < result.final_cpu_utilization <= 1.0
+
+
+class TestSharedLifecycle:
+    """The replay runs the lightweight simulator's lifecycle, so the
+    sanitizer, the timeline sampler, the ``run.metrics`` record and the
+    post-run invariant gate all reach it."""
+
+    def test_sanitized_timeline_run_emits_the_observers(self):
+        trace = make_trace("B", horizon=720.0, scale=0.05)  # one fig12 run
+        recorder = obs.TraceRecorder(keep_records=True)
+        obs.set_recorder(recorder)
+        _san.install()
+        timeline.set_default_interval(60.0)  # what --timeline-interval sets
+        try:
+            simulation = HighFidelitySimulation(
+                HighFidelityConfig(
+                    trace=trace, service_model=DecisionTimeModel(t_job=10.0)
+                )
+            )
+            simulation.run()
+        finally:
+            timeline.set_default_interval(None)
+            _san.uninstall()
+            obs.reset_recorder()
+        names = [record["name"] for record in recorder.records]
+        for name in ("san.run", "san.final", "timeline.cell", "run.metrics"):
+            assert name in names, name
+        (final,) = [r for r in recorder.records if r["name"] == "san.final"]
+        assert final["fields"]["violations"] == 0
+        assert final["fields"]["commits_checked"] > 0
+        assert simulation.check_invariants() == []
+
+    def test_run_start_names_the_replay(self, trace):
+        recorder = obs.TraceRecorder(keep_records=True)
+        obs.set_recorder(recorder)
+        try:
+            run_hifi(HighFidelityConfig(trace=trace, horizon=300.0))
+        finally:
+            obs.reset_recorder()
+        start = recorder.records[0]
+        assert start["name"] == "run.start"
+        assert start["fields"] == {
+            "architecture": "hifi-omega",
+            "horizon": 300.0,
+            "seed": 0,
+        }
